@@ -752,8 +752,6 @@ int main(int argc, char** argv) {
                std::thread::hardware_concurrency());
   std::fprintf(out, "  \"batch_size\": %zu,\n", defaults.batch_size);
   std::fprintf(out, "  \"queue_capacity\": %zu,\n", defaults.queue_capacity);
-  std::fprintf(out, "  \"zero_copy\": %s,\n",
-               defaults.zero_copy ? "true" : "false");
   std::fprintf(out, "  \"routing_allocs_per_subupdate\": %.4f,\n",
                allocs_per_subupdate);
   std::fprintf(out, "  \"telemetry_batches_recorded\": %llu,\n",

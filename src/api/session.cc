@@ -18,7 +18,6 @@ stream::PipelineConfig pipeline_config(const SessionConfig& config) {
   pc.queue_capacity = config.queue_capacity;
   pc.drain_batch = config.drain_batch;
   pc.batch_size = config.batch_size;
-  pc.zero_copy = config.zero_copy;
   pc.engine = config.study.engine;
   return pc;
 }

@@ -91,7 +91,6 @@ struct SessionConfig {
   std::size_t queue_capacity = 4096;
   std::size_t drain_batch = 256;
   std::size_t batch_size = 64;
-  bool zero_copy = true;
 
   // §9 grouping parameters (LiveGrouper; the correlate tolerance must
   // not exceed the grouping timeout — a shorter timeout is raised to

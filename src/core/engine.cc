@@ -59,30 +59,22 @@ BgpCleaner::BgpCleaner() {
 
 bool BgpCleaner::is_bogus(const net::Prefix& prefix) const {
   // Less specific than /8 is an obvious misconfiguration (§3).
-  if (prefix.is_v4() && prefix.len() < 8) return true;
-  if (!prefix.is_v4() && prefix.len() < 8) return true;
+  if (prefix.len() < 8) return true;
   return bogons_.covered(prefix.addr());
 }
 
 InferenceEngine::InferenceEngine(const dictionary::BlackholeDictionary& dictionary,
                                  const topology::Registry& registry,
                                  EngineConfig config)
-    : dictionary_(dictionary),
-      owned_compiled_(config.use_compiled_fastpath
-                          ? dictionary::CompiledDictionary(dictionary)
-                          : dictionary::CompiledDictionary()),
+    : owned_compiled_(dictionary),
       compiled_(&owned_compiled_),
       registry_(registry),
       config_(config) {}
 
-InferenceEngine::InferenceEngine(const dictionary::BlackholeDictionary& dictionary,
-                                 const dictionary::CompiledDictionary& compiled,
+InferenceEngine::InferenceEngine(const dictionary::CompiledDictionary& compiled,
                                  const topology::Registry& registry,
                                  EngineConfig config)
-    : dictionary_(dictionary),
-      compiled_(&compiled),
-      registry_(registry),
-      config_(config) {}
+    : compiled_(&compiled), registry_(registry), config_(config) {}
 
 bool InferenceEngine::detect(const bgp::PeerKey& peer, const bgp::AsPath& path,
                              const bgp::CommunitySet& communities) {
@@ -90,7 +82,7 @@ bool InferenceEngine::detect(const bgp::PeerKey& peer, const bgp::AsPath& path,
   // community — a handful of bit-tests, no path work, no allocation,
   // and (by construction of the bitset) no stats changes the full scan
   // wouldn't also have made.
-  if (config_.use_compiled_fastpath && !compiled_->prefilter(communities)) {
+  if (!compiled_->prefilter(communities)) {
     detect_scratch_.clear();
     return false;
   }
@@ -117,17 +109,10 @@ bool InferenceEngine::detect(const bgp::PeerKey& peer, const bgp::AsPath& path,
       communities.classic().size() != 1 || !communities.large().empty();
 
   for (auto community : communities.classic()) {
-    dictionary::EntryView entry;
-    if (config_.use_compiled_fastpath) {
-      if (probe_each && !compiled_->maybe_blackhole(community)) continue;
-      const dictionary::EntryView* e = compiled_->lookup(community);
-      if (!e) continue;
-      entry = *e;
-    } else {
-      const dictionary::DictEntry* e = dictionary_.lookup(community);
-      if (!e) continue;
-      entry = dictionary::EntryView{e->provider_asns, e->ixp_ids};
-    }
+    if (probe_each && !compiled_->maybe_blackhole(community)) continue;
+    const dictionary::EntryView* found = compiled_->lookup(community);
+    if (!found) continue;
+    const dictionary::EntryView& entry = *found;
 
     // ---- IXP communities (65535:666 et al.) --------------------------
     bool any_ixp_evidence = entry.ixp_ids.empty();
@@ -200,15 +185,8 @@ bool InferenceEngine::detect(const bgp::PeerKey& peer, const bgp::AsPath& path,
 
   // ---- RFC 8092 large communities ------------------------------------
   for (auto large : communities.large()) {
-    std::optional<Asn> provider_asn;
-    if (config_.use_compiled_fastpath) {
-      if (compiled_->maybe_blackhole(large)) {
-        provider_asn = compiled_->lookup_large(large);
-      }
-    } else {
-      provider_asn = dictionary_.lookup_large(large);
-    }
-    if (provider_asn) {
+    if (!compiled_->maybe_blackhole(large)) continue;
+    if (auto provider_asn = compiled_->lookup_large(large)) {
       ProviderRef provider{.is_ixp = false, .asn = *provider_asn, .ixp_id = 0};
       if (auto idx = path.index_of(*provider_asn)) {
         Asn user = 0;

@@ -56,11 +56,6 @@ struct EngineConfig {
   bool detect_bundled = true;
   // Ablation knob: accept ambiguous communities without path evidence.
   bool require_path_evidence_for_ambiguous = true;
-  // Query the compiled dictionary (bitset prefilter + flat arrays)
-  // instead of the std::map source dictionary.  Results are identical
-  // either way (tests/test_engine.cc proves it); the knob exists for
-  // A/B benching and as a safety hatch.
-  bool use_compiled_fastpath = true;
 };
 
 // Borrowed single-prefix view of one observed update — the zero-copy
@@ -127,16 +122,18 @@ struct EngineStats {
 
 class InferenceEngine {
  public:
+  // Compiles a private CompiledDictionary (bitset prefilter + flat
+  // arrays) from `dictionary`; detection only ever reads that compiled
+  // form, never the std::map source.
   InferenceEngine(const dictionary::BlackholeDictionary& dictionary,
                   const topology::Registry& registry,
                   EngineConfig config = {});
 
   // Shares a prebuilt compiled dictionary instead of compiling a
   // private copy — the compiled form is immutable, so N engine shards
-  // over the same dictionary need only one.  `compiled` must be built
-  // from `dictionary` and outlive the engine.
-  InferenceEngine(const dictionary::BlackholeDictionary& dictionary,
-                  const dictionary::CompiledDictionary& compiled,
+  // over the same dictionary need only one.  `compiled` must outlive
+  // the engine.
+  InferenceEngine(const dictionary::CompiledDictionary& compiled,
                   const topology::Registry& registry,
                   EngineConfig config = {});
 
@@ -219,10 +216,9 @@ class InferenceEngine {
                    const net::Prefix& prefix, util::SimTime time,
                    bool explicit_withdrawal);
 
-  const dictionary::BlackholeDictionary& dictionary_;
-  // Compiled fast-path form: either owned (built by the ctor, left
-  // empty when the fast path is disabled) or shared across shards.
-  // compiled_ points at whichever is in use.
+  // Compiled dictionary: either owned (built by the ctor, left empty
+  // when shared) or shared across shards.  compiled_ points at
+  // whichever is in use.
   dictionary::CompiledDictionary owned_compiled_;
   const dictionary::CompiledDictionary* compiled_;
   const topology::Registry& registry_;

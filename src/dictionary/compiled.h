@@ -38,9 +38,8 @@
 namespace bgpbh::dictionary {
 
 // Allocation-free view of one dictionary entry's detection-relevant
-// fields.  Both the compiled fast path and the std::map slow path
-// produce this shape, so the engine's inference logic is written once
-// (and the two paths stay byte-for-byte comparable).
+// fields, pointing into the compiled dictionary's dense pools — the
+// only dictionary form the inference engine reads.
 struct EntryView {
   std::span<const Asn> provider_asns;
   std::span<const std::uint32_t> ixp_ids;

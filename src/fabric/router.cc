@@ -321,36 +321,35 @@ bool FabricRouter::push(std::size_t p, const routing::FeedUpdate& update) {
   updates_pushed_.fetch_add(1, std::memory_order_relaxed);
   const bgp::UpdateBody& body = update.update.body;
   if (body.withdrawn.empty() && body.announced.empty()) return true;
-  bgp::PeerKey peer{update.update.peer_ip, update.update.peer_asn};
-  // Mirror stream::ShardRouter's split exactly: withdrawals first, and
-  // a withdrawal sub-update carries no route attributes.
+  // The wire carries one single-prefix FeedUpdate per sub-update, split
+  // and stamped exactly as stream::ShardRouter does; a withdrawal
+  // sub-update carries no route attributes.
   routing::FeedUpdate sub;
   sub.platform = update.platform;
   sub.update.time = update.update.time;
   sub.update.peer_ip = update.update.peer_ip;
   sub.update.peer_asn = update.update.peer_asn;
   sub.update.collector_id = update.update.collector_id;
-  // Producer-edge ingest stamp, exactly once per update: a pre-stamped
-  // update keeps its origin so end-to-end latency spans processes.
-  sub.ingest_ns =
-      update.ingest_ns != 0 ? update.ingest_ns : util::wall_clock_ns();
-  for (const auto& prefix : body.withdrawn) {
-    sub.update.body.withdrawn.assign(1, prefix);
-    std::size_t slot = stream::shard_for(peer, prefix, num_slots_);
-    std::shared_lock lock(*slot_mu_[slot]);
-    stage_sub(p, sub, slot);
-  }
-  sub.update.body.withdrawn.clear();
-  sub.update.body.as_path = body.as_path;
-  sub.update.body.communities = body.communities;
-  sub.update.body.next_hop = body.next_hop;
-  sub.update.body.origin = body.origin;
-  for (const auto& prefix : body.announced) {
-    sub.update.body.announced.assign(1, prefix);
-    std::size_t slot = stream::shard_for(peer, prefix, num_slots_);
-    std::shared_lock lock(*slot_mu_[slot]);
-    stage_sub(p, sub, slot);
-  }
+  sub.ingest_ns = stream::ingest_stamp(update);
+  bgp::UpdateBody& sub_body = sub.update.body;
+  stream::for_each_sub_update(
+      update, num_slots_,
+      [&](std::size_t slot, stream::SubKind kind, std::uint32_t index) {
+        if (kind == stream::SubKind::kWithdraw) {
+          sub_body.withdrawn.assign(1, body.withdrawn[index]);
+        } else {
+          if (sub_body.announced.empty()) {  // first announcement
+            sub_body.withdrawn.clear();
+            sub_body.as_path = body.as_path;
+            sub_body.communities = body.communities;
+            sub_body.next_hop = body.next_hop;
+            sub_body.origin = body.origin;
+          }
+          sub_body.announced.assign(1, body.announced[index]);
+        }
+        std::shared_lock lock(*slot_mu_[slot]);
+        stage_sub(p, sub, slot);
+      });
   return true;
 }
 

@@ -5,9 +5,10 @@
 // hash the in-process pipeline shards by) and places each slot on a
 // remote shard server (fabric/placement.h).  The router:
 //
-//   * splits every pushed update into single-prefix sub-updates
-//     (withdrawals first — mirroring stream::ShardRouter's order, so
-//     per-key transition order is identical to the in-process plane),
+//   * splits every pushed update into single-prefix sub-updates with
+//     stream::for_each_sub_update — the in-process router's own split
+//     (withdrawals first), so per-key transition order is identical to
+//     the in-process plane by construction,
 //   * batches them per (slot, producer) lane into APPEND frames with a
 //     bounded in-flight window (at most `max_inflight` unacked frames
 //     per lane; a full window blocks the producer — backpressure,

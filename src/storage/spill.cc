@@ -165,11 +165,14 @@ void SpillWriter::run() {
       r.ok = parked_.empty() && !degraded_;
       r.pos = writer_->durable_pos();
       {
+        // Notify under the lock: the ticket lives on barrier()'s stack
+        // and dies as soon as its waiter sees done, so the cv must not
+        // be touched once the lock is released.
         std::lock_guard<std::mutex> ticket_lock(item.ticket->m);
         item.ticket->result = r;
         item.ticket->done = true;
+        item.ticket->cv.notify_all();
       }
-      item.ticket->cv.notify_all();
     }
     process(final_drain);
     if (final_drain) {

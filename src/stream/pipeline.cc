@@ -4,10 +4,9 @@ namespace bgpbh::stream {
 
 StreamPipeline::Producer::Producer(StreamPipeline& owner, std::size_t index,
                                    std::size_t num_shards, BlockPool& blocks,
-                                   bool zero_copy, std::size_t batch_size)
+                                   std::size_t batch_size)
     : owner_(&owner),
-      router_(num_shards, blocks, zero_copy,
-              static_cast<std::uint32_t>(index)),
+      router_(num_shards, blocks, static_cast<std::uint32_t>(index)),
       batch_size_(batch_size), pending_(num_shards) {
   for (auto& buf : pending_) buf.reserve(batch_size);
 }
@@ -54,29 +53,37 @@ void StreamPipeline::Producer::submit_shard(std::size_t shard) {
   buf.clear();
 }
 
+namespace {
+
+// Every count the pipeline sizes something by is at least 1.
+PipelineConfig normalized(PipelineConfig config) {
+  for (std::size_t* n : {&config.num_shards, &config.num_producers,
+                         &config.drain_batch, &config.batch_size}) {
+    if (*n == 0) *n = 1;
+  }
+  return config;
+}
+
+}  // namespace
+
 StreamPipeline::StreamPipeline(const dictionary::BlackholeDictionary& dictionary,
                                const topology::Registry& registry,
                                PipelineConfig config)
-    : owned_metrics_(config.metrics
+    : config_(normalized(config)),
+      owned_metrics_(config_.metrics
                          ? nullptr
                          : std::make_unique<telemetry::MetricsRegistry>()),
-      metrics_(config.metrics ? config.metrics : owned_metrics_.get()),
-      store_(config.num_shards == 0 ? 1 : config.num_shards),
-      workers_(dictionary, registry, config.engine,
-               config.num_shards == 0 ? 1 : config.num_shards,
-               config.num_producers == 0 ? 1 : config.num_producers,
-               config.queue_capacity, config.drain_batch,
-               config.batch_size == 0 ? 1 : config.batch_size,
-               /*serialize_producers=*/config.num_producers > 1, blocks_,
+      metrics_(config_.metrics ? config_.metrics : owned_metrics_.get()),
+      store_(config_.num_shards),
+      workers_(dictionary, registry, config_.engine, config_.num_shards,
+               config_.num_producers, config_.queue_capacity,
+               config_.drain_batch, config_.batch_size,
+               /*serialize_producers=*/config_.num_producers > 1, blocks_,
                store_, *metrics_) {
-  const std::size_t num_producers =
-      config.num_producers == 0 ? 1 : config.num_producers;
-  const std::size_t batch_size = config.batch_size == 0 ? 1 : config.batch_size;
-  producers_.reserve(num_producers);
-  for (std::size_t i = 0; i < num_producers; ++i) {
-    producers_.push_back(std::unique_ptr<Producer>(
-        new Producer(*this, i, workers_.num_shards(), blocks_,
-                     config.zero_copy, batch_size)));
+  producers_.reserve(config_.num_producers);
+  for (std::size_t i = 0; i < config_.num_producers; ++i) {
+    producers_.push_back(std::unique_ptr<Producer>(new Producer(
+        *this, i, config_.num_shards, blocks_, config_.batch_size)));
   }
   // Live-state sampling: everything below is copied out of counters the
   // data plane already maintains, only when someone snapshots — zero

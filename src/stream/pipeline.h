@@ -22,8 +22,7 @@
 // canonically ordered at finish().  In steady state the whole path
 // from push() to the engine performs zero heap allocations per
 // sub-update (bench/perf_stream asserts this with a counting
-// allocator).  `zero_copy = false` restores the materializing
-// deep-copy data plane as an A/B slow path.
+// allocator).
 //
 // MPMC stage: `num_producers > 1` gives each producer thread its own
 // Producer handle (router + staging buffers); shard submission then
@@ -36,8 +35,8 @@
 // Equivalence contract: after finish(), store().events() sorted
 // canonically is identical to what one sequential InferenceEngine
 // produces from the same update stream, for any shard count, batch
-// size, producer count, and either data plane, and merged_stats()
-// equals the sequential engine's stats.
+// size and producer count, and merged_stats() equals the sequential
+// engine's stats.
 #pragma once
 
 #include <atomic>
@@ -70,11 +69,6 @@ struct PipelineConfig {
   // MPMC stage: number of concurrent producer threads (e.g. one per
   // collector platform).  Each must use its own producer() handle.
   std::size_t num_producers = 1;
-  // A/B knob: false restores the owning-FeedUpdate deep-copy data
-  // plane (one materialized FeedUpdate per sub-update, owning engine
-  // entry point) — the pre-zero-copy baseline, kept to prove
-  // event-set equality and measure the win.
-  bool zero_copy = true;
   // Telemetry sink (src/telemetry/).  When null the pipeline owns a
   // private registry — telemetry is always on; the instrumentation is
   // designed so the hot path stays allocation- and mutex-free (see
@@ -126,7 +120,7 @@ class StreamPipeline {
    private:
     friend class StreamPipeline;
     Producer(StreamPipeline& owner, std::size_t index, std::size_t num_shards,
-             BlockPool& blocks, bool zero_copy, std::size_t batch_size);
+             BlockPool& blocks, std::size_t batch_size);
 
     // Hand one shard's staged batch to the workers, releasing any refs
     // a mid-shutdown rejection left with us.
@@ -240,6 +234,8 @@ class StreamPipeline {
   const telemetry::MetricsRegistry& metrics() const { return *metrics_; }
 
  private:
+  // The constructor's config with every zero count raised to 1.
+  const PipelineConfig config_;
   // Declared before workers_: the pool borrows instruments from the
   // registry for the lifetime of its shards.
   std::unique_ptr<telemetry::MetricsRegistry> owned_metrics_;

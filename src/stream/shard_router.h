@@ -14,10 +14,12 @@
 // Data plane: the router stores each parsed update exactly once in a
 // pooled UpdateBlock and emits 16-byte SubUpdateRefs — it never copies
 // the AS path or communities, and in steady state (recycled blocks)
-// performs zero heap allocations per update.  The pre-zero-copy
-// representation — one fully materialized FeedUpdate per sub-update —
-// is kept behind `zero_copy = false` as the A/B slow path
-// (PipelineConfig::zero_copy; tests prove event-set equality).
+// performs zero heap allocations per update.
+//
+// The split itself (for_each_sub_update) and the ingest stamp rule
+// (ingest_stamp) are shared with fabric::FabricRouter, so the
+// in-process and multi-process planes order and stamp sub-updates
+// identically by construction.
 #pragma once
 
 #include <atomic>
@@ -34,6 +36,34 @@ namespace bgpbh::stream {
 std::size_t shard_for(const bgp::PeerKey& peer, const net::Prefix& prefix,
                       std::size_t num_shards);
 
+// The producer-edge ingest stamp, taken exactly once per update: an
+// update arriving already stamped (a fabric server re-routing a
+// client's subs) keeps its original stamp so e2e latency spans
+// processes; an unstamped one gets the wall clock now.
+inline std::uint64_t ingest_stamp(const routing::FeedUpdate& fu) {
+  return fu.ingest_ns != 0 ? fu.ingest_ns : util::wall_clock_ns();
+}
+
+// Splits `fu` into single-prefix sub-updates and calls
+// emit(shard, SubKind, prefix_index) for each, where shard is
+// shard_for(peer, prefix, num_shards): withdrawals first, then
+// announcements, each in index order — the order the sequential
+// engine processes them in.  An update without prefixes emits nothing.
+template <typename Emit>
+void for_each_sub_update(const routing::FeedUpdate& fu,
+                         std::size_t num_shards, Emit&& emit) {
+  const bgp::UpdateBody& body = fu.update.body;
+  const bgp::PeerKey peer{fu.update.peer_ip, fu.update.peer_asn};
+  for (std::uint32_t i = 0; i < body.withdrawn.size(); ++i) {
+    emit(shard_for(peer, body.withdrawn[i], num_shards), SubKind::kWithdraw,
+         i);
+  }
+  for (std::uint32_t i = 0; i < body.announced.size(); ++i) {
+    emit(shard_for(peer, body.announced[i], num_shards), SubKind::kAnnounce,
+         i);
+  }
+}
+
 class ShardRouter {
  public:
   // Blocks a producer keeps locally between pool refills; one pool
@@ -42,12 +72,9 @@ class ShardRouter {
 
   // `producer_index` is stamped into every routed block so shard
   // workers can keep per-producer ingest watermarks (src/recovery/).
-  ShardRouter(std::size_t num_shards, BlockPool& pool, bool zero_copy = true,
+  ShardRouter(std::size_t num_shards, BlockPool& pool,
               std::uint32_t producer_index = 0)
-      : num_shards_(num_shards),
-        pool_(&pool),
-        zero_copy_(zero_copy),
-        producer_index_(producer_index) {
+      : num_shards_(num_shards), pool_(&pool), producer_index_(producer_index) {
     cache_.reserve(kBlockCacheSize);
   }
 
@@ -57,7 +84,6 @@ class ShardRouter {
   ShardRouter& operator=(const ShardRouter&) = delete;
 
   std::size_t num_shards() const { return num_shards_; }
-  bool zero_copy() const { return zero_copy_; }
 
   // Original (pre-split) updates seen; the pipeline reports this as
   // updates_processed so merged stats match the sequential engine's.
@@ -67,100 +93,31 @@ class ShardRouter {
     return updates_routed_.load(std::memory_order_relaxed);
   }
 
-  // Splits `fu` into single-prefix sub-updates and calls
-  // emit(shard_index, SubUpdateRef) for each.  Withdrawals first.
-  // Every emitted ref carries one reference on its block; whoever
-  // consumes the ref must release it back to the pool.
+  // Splits `fu` into single-prefix sub-updates (for_each_sub_update)
+  // and calls emit(shard_index, SubUpdateRef) for each.  One block
+  // holds the parsed update; the copy assignment below reuses the
+  // recycled block's vector capacities, so nothing allocates once the
+  // pool is warm.  Every emitted ref carries one reference on its
+  // block; whoever consumes the ref must release it back to the pool.
   template <typename Emit>
   void route(const routing::FeedUpdate& fu, Emit&& emit) {
     updates_routed_.fetch_add(1, std::memory_order_relaxed);
     const bgp::UpdateBody& body = fu.update.body;
     const std::size_t subs = body.withdrawn.size() + body.announced.size();
     if (subs == 0) return;
-    bgp::PeerKey peer{fu.update.peer_ip, fu.update.peer_asn};
-
-    // The producer edge: stamp ingest wall time exactly once.  Updates
-    // arriving already stamped (a fabric server re-routing a client's
-    // subs) keep their original stamp so e2e latency spans processes.
-    const std::uint64_t ingest_ns =
-        fu.ingest_ns != 0 ? fu.ingest_ns : util::wall_clock_ns();
-
-    if (!zero_copy_) {
-      route_owning(fu, ingest_ns, peer, emit);
-      return;
-    }
-
-    // Zero-copy fast path: one block holds the parsed update; the copy
-    // assignment below reuses the recycled block's vector capacities,
-    // so nothing allocates once the pool is warm.
     UpdateBlock* block = next_block();
     block->update = fu;
-    block->update.ingest_ns = ingest_ns;
+    block->update.ingest_ns = ingest_stamp(fu);
     block->refs.store(static_cast<std::uint32_t>(subs),
                       std::memory_order_relaxed);
-    for (std::size_t i = 0; i < body.withdrawn.size(); ++i) {
-      emit(shard_for(peer, body.withdrawn[i], num_shards_),
-           SubUpdateRef{block, static_cast<std::uint32_t>(i),
-                        SubKind::kWithdraw});
-    }
-    for (std::size_t i = 0; i < body.announced.size(); ++i) {
-      emit(shard_for(peer, body.announced[i], num_shards_),
-           SubUpdateRef{block, static_cast<std::uint32_t>(i),
-                        SubKind::kAnnounce});
-    }
+    for_each_sub_update(
+        fu, num_shards_,
+        [&](std::size_t shard, SubKind kind, std::uint32_t index) {
+          emit(shard, SubUpdateRef{block, index, kind});
+        });
   }
 
  private:
-  // A/B slow path: materialize a full single-prefix FeedUpdate per
-  // sub-update (deep copies of path and communities — the original,
-  // copy-bound data plane).  Workers feed these to the owning engine
-  // entry point.
-  template <typename Emit>
-  void route_owning(const routing::FeedUpdate& fu, std::uint64_t ingest_ns,
-                    const bgp::PeerKey& peer, Emit&& emit) {
-    const bgp::UpdateBody& body = fu.update.body;
-    for (const auto& prefix : body.withdrawn) {
-      UpdateBlock* block = next_block();
-      materialize_base(fu, *block);
-      block->update.ingest_ns = ingest_ns;
-      block->update.update.body.withdrawn.push_back(prefix);
-      emit(shard_for(peer, prefix, num_shards_),
-           SubUpdateRef{block, 0, SubKind::kOwned});
-    }
-    for (const auto& prefix : body.announced) {
-      UpdateBlock* block = next_block();
-      materialize_base(fu, *block);
-      block->update.ingest_ns = ingest_ns;
-      bgp::UpdateBody& sub = block->update.update.body;
-      sub.announced.push_back(prefix);
-      sub.as_path = body.as_path;
-      sub.communities = body.communities;
-      sub.next_hop = body.next_hop;
-      sub.origin = body.origin;
-      emit(shard_for(peer, prefix, num_shards_),
-           SubUpdateRef{block, 0, SubKind::kOwned});
-    }
-  }
-
-  // Collector metadata shared by every sub-update of one update; the
-  // block may be recycled, so clear all route attributes explicitly.
-  static void materialize_base(const routing::FeedUpdate& fu,
-                               UpdateBlock& block) {
-    routing::FeedUpdate& sub = block.update;
-    sub.platform = fu.platform;
-    sub.update.time = fu.update.time;
-    sub.update.peer_ip = fu.update.peer_ip;
-    sub.update.peer_asn = fu.update.peer_asn;
-    sub.update.collector_id = fu.update.collector_id;
-    sub.update.body.withdrawn.clear();
-    sub.update.body.announced.clear();
-    sub.update.body.as_path = bgp::AsPath();
-    sub.update.body.communities.clear();
-    sub.update.body.next_hop.reset();
-    sub.update.body.origin = bgp::Origin::kIgp;
-    block.refs.store(1, std::memory_order_relaxed);
-  }
-
   UpdateBlock* next_block() {
     if (cache_.empty()) pool_->acquire_batch(cache_, kBlockCacheSize);
     UpdateBlock* block = cache_.back();
@@ -180,7 +137,6 @@ class ShardRouter {
  private:
   std::size_t num_shards_;
   BlockPool* pool_;
-  bool zero_copy_;
   std::uint32_t producer_index_;
   std::vector<UpdateBlock*> cache_;
   std::atomic<std::uint64_t> updates_routed_{0};

@@ -2,12 +2,10 @@
 //
 // An UPDATE message with K announced/withdrawn prefixes must reach up
 // to K different engine shards, but the expensive route attributes
-// (AS path, communities) are identical for every one of them.  The
-// original data plane materialized a full heap-allocated FeedUpdate —
-// including copies of those vectors — per sub-update; at millions of
-// updates/sec the pipeline was copy-bound, not compute-bound.
+// (AS path, communities) are identical for every one of them, so they
+// are never copied per sub-update.
 //
-// Here each parsed update is stored exactly once, in a pooled
+// Each parsed update is stored exactly once, in a pooled
 // UpdateBlock, and what moves through the shard queues is a 16-byte
 // SubUpdateRef naming (block, prefix index, kind).  Shards read the
 // path/communities/next-hop straight out of the shared block through
@@ -54,10 +52,6 @@ struct UpdateBlock {
 enum class SubKind : std::uint32_t {
   kWithdraw = 0,  // block->update.update.body.withdrawn[prefix_index]
   kAnnounce = 1,  // block->update.update.body.announced[prefix_index]
-  // A/B slow path: the block holds a fully materialized single-prefix
-  // FeedUpdate (the pre-zero-copy representation); the worker feeds it
-  // to the owning engine entry point.
-  kOwned = 2,
 };
 
 // The queue item of the zero-copy data plane: two words.

@@ -12,17 +12,14 @@ WorkerPool::WorkerPool(const dictionary::BlackholeDictionary& dictionary,
                        std::size_t batch_size, bool serialize_producers,
                        BlockPool& blocks, EventStore& store,
                        telemetry::MetricsRegistry& metrics)
-    : compiled_(engine_config.use_compiled_fastpath
-                    ? dictionary::CompiledDictionary(dictionary)
-                    : dictionary::CompiledDictionary()),
-      num_producers_(num_producers == 0 ? 1 : num_producers),
-      drain_batch_(drain_batch == 0 ? 1 : drain_batch),
-      batch_size_(batch_size == 0 ? 1 : batch_size),
+    : compiled_(dictionary),
+      num_producers_(num_producers),
+      drain_batch_(drain_batch),
+      batch_size_(batch_size),
       serialize_producers_(serialize_producers),
       blocks_(blocks),
       store_(store),
       trace_(&metrics.trace()) {
-  if (num_shards == 0) num_shards = 1;
   metrics.describe("stream.worker.batch_ns",
                    "Shard worker consume-batch processing latency (ns, up to "
                    "batch_size sub-updates per record)");
@@ -47,7 +44,7 @@ WorkerPool::WorkerPool(const dictionary::BlackholeDictionary& dictionary,
   for (std::size_t i = 0; i < num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->engine = std::make_unique<core::InferenceEngine>(
-        dictionary, compiled_, registry, engine_config);
+        compiled_, registry, engine_config);
     shard->queue = std::make_unique<SpscQueue<SubUpdateRef>>(queue_capacity);
     shard->index = i;
     shard->watermarks.assign(num_producers_, 0);
@@ -133,24 +130,17 @@ void WorkerPool::worker_loop(Shard& shard) {
       UpdateBlock* block = ref.block;
       ++shard.watermarks[block->producer];
       const routing::FeedUpdate& fu = block->update;
-      if (ref.kind == SubKind::kOwned) {
-        // A/B slow path: materialized single-prefix update, owning
-        // engine entry point.
-        shard.engine->process(fu.platform, fu.update);
-      } else {
-        const bool withdrawal = ref.kind == SubKind::kWithdraw;
-        view.platform = fu.platform;
-        view.time = fu.update.time;
-        view.peer = bgp::PeerKey{fu.update.peer_ip, fu.update.peer_asn};
-        view.is_withdrawal = withdrawal;
-        view.prefix = withdrawal
-                          ? &fu.update.body.withdrawn[ref.prefix_index]
-                          : &fu.update.body.announced[ref.prefix_index];
-        view.as_path = &fu.update.body.as_path;
-        view.communities = &fu.update.body.communities;
-        view.ingest_ns = fu.ingest_ns;
-        shard.engine->process(view);
-      }
+      const bool withdrawal = ref.kind == SubKind::kWithdraw;
+      view.platform = fu.platform;
+      view.time = fu.update.time;
+      view.peer = bgp::PeerKey{fu.update.peer_ip, fu.update.peer_asn};
+      view.is_withdrawal = withdrawal;
+      view.prefix = withdrawal ? &fu.update.body.withdrawn[ref.prefix_index]
+                               : &fu.update.body.announced[ref.prefix_index];
+      view.as_path = &fu.update.body.as_path;
+      view.communities = &fu.update.body.communities;
+      view.ingest_ns = fu.ingest_ns;
+      shard.engine->process(view);
       if (BlockPool::unref(block)) to_recycle.push_back(block);
     }
     blocks_.recycle_batch(to_recycle);

@@ -60,7 +60,8 @@ class WorkerPool {
   // stream.worker.drain_ns, recorded once per consume batch — two
   // clock reads amortized over batch_size sub-updates), per-shard
   // queue stall/wake counters bound into the SPSC queues, and the
-  // trace ring for slow-batch spans.  Must outlive the pool.
+  // trace ring for slow-batch spans.  Must outlive the pool.  Every
+  // count must be at least 1 (StreamPipeline normalizes its config).
   WorkerPool(const dictionary::BlackholeDictionary& dictionary,
              const topology::Registry& registry,
              core::EngineConfig engine_config, std::size_t num_shards,

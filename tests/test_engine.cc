@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+
 #include "topology/generator.h"
 
 namespace bgpbh::core {
@@ -374,22 +378,80 @@ TEST(BgpCleanerTest, KnownBogons) {
   EXPECT_FALSE(cleaner.is_bogus(*net::Prefix::parse("2a00:1::/32")));
 }
 
-// The compiled-dictionary fast path (bitset prefilter + flat-array
-// lookups + in-place path scans) must be a pure optimization: over a
-// workload covering every detection kind, ablation, rejection path,
-// and close mode, the engine's events and stats are byte-identical
-// with the fast path on and off.
-TEST(Engine, FastPathMatchesSlowPath) {
+// A 16-update workload covering every detection kind, ablation,
+// rejection path and close mode, plus three cases no other engine test
+// reaches: a prefilter false positive (999:666 shares the value half
+// of a blackhole community), an unknown large community, and the
+// single-community shortcut that skips the per-community bitset probe.
+// The expected stats and (prefix, provider, kind, user, as_distance,
+// explicit_withdrawal) tuples were produced by running it through the
+// engine's former std::map dictionary path, once per ablation
+// combination; the engine reads only the compiled dictionary, which
+// must reproduce them exactly.
+TEST(Engine, DetectionWorkloadMatchesPinnedResults) {
+  using EventTuple =
+      std::tuple<std::string, std::string, DetectionKind, bgp::Asn, int, bool>;
+  struct Case {
+    bool detect_bundled;
+    bool require_evidence;
+    // updates, announcements, withdrawals, bogons, opened,
+    // closed_explicit, closed_implicit, ambiguous_rejected, ixp_rejected
+    EngineStats stats;
+    std::vector<EventTuple> events;
+  };
+  using K = DetectionKind;
+  constexpr int kNone = kNoPathDistance;
+  const std::vector<Case> cases = {
+      {true, true, {16, 15, 1, 1, 7, 1, 6, 1, 1},
+       {{"20.0.1.1/32", "AS200", K::kProviderOnPath, 400, 1, false},
+        {"20.0.1.2/32", "AS300", K::kBundled, 400, kNone, true},
+        {"20.0.1.4/32", "AS201", K::kProviderOnPath, 400, 1, false},
+        {"20.0.1.5/32", "IXP#0", K::kIxpRouteServer, 400, 1, false},
+        {"20.0.1.6/32", "IXP#0", K::kIxpPeerIp, 400, 0, false},
+        {"20.0.1.8/32", "AS200", K::kProviderOnPath, 400, 1, false},
+        {"20.0.1.10/32", "AS200", K::kProviderOnPath, 400, 1, false},
+        {"20.0.1.10/32", "AS300", K::kBundled, 400, kNone, false}}},
+      {true, false, {16, 15, 1, 1, 8, 1, 7, 0, 1},
+       {{"20.0.1.1/32", "AS200", K::kProviderOnPath, 400, 1, false},
+        {"20.0.1.2/32", "AS300", K::kBundled, 400, kNone, true},
+        {"20.0.1.3/32", "AS201", K::kBundled, 400, kNone, false},
+        {"20.0.1.3/32", "AS202", K::kBundled, 400, kNone, false},
+        {"20.0.1.4/32", "AS201", K::kProviderOnPath, 400, 1, false},
+        {"20.0.1.4/32", "AS202", K::kBundled, 400, kNone, false},
+        {"20.0.1.5/32", "IXP#0", K::kIxpRouteServer, 400, 1, false},
+        {"20.0.1.6/32", "IXP#0", K::kIxpPeerIp, 400, 0, false},
+        {"20.0.1.8/32", "AS200", K::kProviderOnPath, 400, 1, false},
+        {"20.0.1.10/32", "AS200", K::kProviderOnPath, 400, 1, false},
+        {"20.0.1.10/32", "AS300", K::kBundled, 400, kNone, false}}},
+      {false, true, {16, 15, 1, 1, 6, 0, 6, 1, 1},
+       {{"20.0.1.1/32", "AS200", K::kProviderOnPath, 400, 1, false},
+        {"20.0.1.4/32", "AS201", K::kProviderOnPath, 400, 1, false},
+        {"20.0.1.5/32", "IXP#0", K::kIxpRouteServer, 400, 1, false},
+        {"20.0.1.6/32", "IXP#0", K::kIxpPeerIp, 400, 0, false},
+        {"20.0.1.8/32", "AS200", K::kProviderOnPath, 400, 1, false},
+        {"20.0.1.10/32", "AS200", K::kProviderOnPath, 400, 1, false}}},
+      {false, false, {16, 15, 1, 1, 6, 0, 6, 0, 1},
+       {{"20.0.1.1/32", "AS200", K::kProviderOnPath, 400, 1, false},
+        {"20.0.1.4/32", "AS201", K::kProviderOnPath, 400, 1, false},
+        {"20.0.1.5/32", "IXP#0", K::kIxpRouteServer, 400, 1, false},
+        {"20.0.1.6/32", "IXP#0", K::kIxpPeerIp, 400, 0, false},
+        {"20.0.1.8/32", "AS200", K::kProviderOnPath, 400, 1, false},
+        {"20.0.1.10/32", "AS200", K::kProviderOnPath, 400, 1, false}}},
+  };
+
+  std::size_t next_case = 0;
   for (bool detect_bundled : {true, false}) {
     for (bool require_evidence : {true, false}) {
-      EngineConfig fast_config, slow_config;
-      fast_config.detect_bundled = slow_config.detect_bundled = detect_bundled;
-      fast_config.require_path_evidence_for_ambiguous =
-          slow_config.require_path_evidence_for_ambiguous = require_evidence;
-      fast_config.use_compiled_fastpath = true;
-      slow_config.use_compiled_fastpath = false;
-      InferenceEngine fast(world().dict, world().registry, fast_config);
-      InferenceEngine slow(world().dict, world().registry, slow_config);
+      const Case& want = cases[next_case++];
+      ASSERT_EQ(want.detect_bundled, detect_bundled);
+      ASSERT_EQ(want.require_evidence, require_evidence);
+      SCOPED_TRACE(::testing::Message() << "detect_bundled=" << detect_bundled
+                                        << " require_evidence="
+                                        << require_evidence);
+      EngineConfig config;
+      config.detect_bundled = detect_bundled;
+      config.require_path_evidence_for_ambiguous = require_evidence;
+      InferenceEngine engine(world().dict, world().registry, config);
 
       std::vector<std::pair<routing::Platform, bgp::ObservedUpdate>> workload;
       auto add = [&](routing::Platform p, bgp::ObservedUpdate u) {
@@ -451,15 +513,18 @@ TEST(Engine, FastPathMatchesSlowPath) {
       add(P::kRis, announce("20.0.1.10/32", "198.51.100.1", 200, {200, 400},
                             {Community(200, 666), Community(300, 666)}, 122));
 
-      for (const auto& [p, u] : workload) {
-        fast.process(p, u);
-        slow.process(p, u);
+      for (const auto& [p, u] : workload) engine.process(p, u);
+      engine.finish(1000);
+      EXPECT_EQ(engine.stats(), want.stats);
+      std::vector<EventTuple> got;
+      for (const PeerEvent& e : engine.events()) {
+        got.emplace_back(e.prefix.to_string(), e.provider.to_string(), e.kind,
+                         e.user, e.as_distance, e.explicit_withdrawal);
       }
-      fast.finish(1000);
-      slow.finish(1000);
-      EXPECT_EQ(fast.events(), slow.events());
-      EXPECT_EQ(fast.stats(), slow.stats());
-      EXPECT_FALSE(fast.events().empty());
+      std::vector<EventTuple> expected = want.events;
+      std::sort(got.begin(), got.end());
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(got, expected);
     }
   }
 }

@@ -16,6 +16,7 @@
 #include <random>
 #include <set>
 #include <thread>
+#include <tuple>
 
 #include "core/study.h"
 #include "stream/source.h"
@@ -247,41 +248,69 @@ TEST(ShardRouter, SplitsPerPrefixWithdrawalsFirstZeroCopy) {
   EXPECT_EQ(pool.in_flight(), 0u);
 }
 
-TEST(ShardRouter, OwningSlowPathMaterializesPerSubUpdate) {
-  BlockPool pool;
-  ShardRouter router(4, pool, /*zero_copy=*/false);
-  FeedUpdate fu = make_update(Platform::kRis, "198.51.100.1", 200,
-                              {"20.0.1.1/32", "20.0.1.2/32"}, {"20.0.1.3/32"});
-  std::vector<std::pair<std::size_t, SubUpdateRef>> routed;
-  router.route(fu, [&](std::size_t shard, SubUpdateRef ref) {
-    routed.emplace_back(shard, ref);
+// for_each_sub_update and ingest_stamp are the one split and stamp
+// rule both the in-process router and the fabric router use.
+TEST(ShardRouter, SharedSplitOrderShardsAndIngestStamp) {
+  FeedUpdate fu = make_update(
+      Platform::kRis, "198.51.100.1", 200,
+      {"20.0.1.1/32", "20.0.1.2/32", "20.0.1.3/32"},
+      {"20.0.2.1/32", "20.0.2.2/32"});
+  const bgp::PeerKey peer{fu.update.peer_ip, fu.update.peer_asn};
+  std::vector<std::tuple<std::size_t, SubKind, std::uint32_t>> split;
+  for_each_sub_update(fu, 8, [&](std::size_t shard, SubKind kind,
+                                 std::uint32_t index) {
+    split.emplace_back(shard, kind, index);
   });
-  ASSERT_EQ(routed.size(), 3u);
+  // Withdrawals first, then announcements, each in index order, and
+  // each on the shard owning its (peer, prefix) key.
+  const std::vector<std::pair<SubKind, std::uint32_t>> order = {
+      {SubKind::kWithdraw, 0}, {SubKind::kWithdraw, 1},
+      {SubKind::kAnnounce, 0}, {SubKind::kAnnounce, 1},
+      {SubKind::kAnnounce, 2}};
+  ASSERT_EQ(split.size(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const auto& [shard, kind, index] = split[i];
+    EXPECT_EQ(kind, order[i].first) << i;
+    EXPECT_EQ(index, order[i].second) << i;
+    const auto& prefixes = kind == SubKind::kWithdraw
+                               ? fu.update.body.withdrawn
+                               : fu.update.body.announced;
+    EXPECT_EQ(shard, shard_for(peer, prefixes[index], 8)) << i;
+  }
 
-  // One materialized block per sub-update, all owned (refs == 1).
-  EXPECT_EQ(pool.in_flight(), ShardRouter::kBlockCacheSize);  // incl. cache
-  for (const auto& [shard, ref] : routed) {
-    EXPECT_EQ(ref.kind, SubKind::kOwned);
-    EXPECT_EQ(ref.block->refs.load(), 1u);
-    EXPECT_EQ(ref.block->update.platform, fu.platform);
-    EXPECT_EQ(ref.block->update.update.time, fu.update.time);
-    EXPECT_EQ(ref.block->update.update.peer_ip, fu.update.peer_ip);
-  }
-  const auto& w = routed[0].second.block->update.update.body;
-  EXPECT_EQ(w.withdrawn.size(), 1u);
-  EXPECT_TRUE(w.announced.empty());
-  EXPECT_TRUE(w.as_path.empty());
-  for (std::size_t i = 1; i < 3; ++i) {
-    const auto& a = routed[i].second.block->update.update.body;
-    EXPECT_EQ(a.announced.size(), 1u);
-    EXPECT_TRUE(a.withdrawn.empty());
-    EXPECT_EQ(a.as_path, fu.update.body.as_path);
-    EXPECT_EQ(a.communities, fu.update.body.communities);
-  }
-  // Same shard assignment as the zero-copy plane.
-  bgp::PeerKey peer{fu.update.peer_ip, fu.update.peer_asn};
-  EXPECT_EQ(routed[0].first, shard_for(peer, fu.update.body.withdrawn[0], 4));
-  for (const auto& [shard, ref] : routed) pool.release(ref.block);
+  BlockPool pool;
+  ShardRouter router(8, pool);
+  std::vector<SubUpdateRef> refs;
+  auto collect = [&](std::size_t, SubUpdateRef ref) { refs.push_back(ref); };
+
+  // An update without prefixes emits nothing and takes no block, but
+  // still counts as routed.
+  FeedUpdate empty = make_update(Platform::kRis, "198.51.100.1", 200, {}, {});
+  router.route(empty, collect);
+  EXPECT_TRUE(refs.empty());
+  EXPECT_EQ(router.updates_routed(), 1u);
+  EXPECT_EQ(pool.blocks_allocated(), 0u);
+  for_each_sub_update(empty, 8, [](std::size_t, SubKind, std::uint32_t) {
+    ADD_FAILURE() << "empty update emitted a sub-update";
+  });
+
+  // A pre-stamped update keeps its stamp in the block...
+  fu.ingest_ns = 0x0123456789ABCDEFull;
+  EXPECT_EQ(ingest_stamp(fu), fu.ingest_ns);
+  router.route(fu, collect);
+  ASSERT_EQ(refs.size(), 5u);
+  EXPECT_EQ(refs[0].block->update.ingest_ns, 0x0123456789ABCDEFull);
+  for (const SubUpdateRef& ref : refs) pool.release(ref.block);
+  refs.clear();
+
+  // ...and an unstamped one is stamped from the wall clock.
+  fu.ingest_ns = 0;
+  EXPECT_NE(ingest_stamp(fu), 0u);
+  router.route(fu, collect);
+  ASSERT_EQ(refs.size(), 5u);
+  EXPECT_NE(refs[0].block->update.ingest_ns, 0u);
+  for (const SubUpdateRef& ref : refs) pool.release(ref.block);
+  EXPECT_EQ(router.updates_routed(), 3u);
   router.release_cached_blocks();
   EXPECT_EQ(pool.in_flight(), 0u);
 }
@@ -497,7 +526,6 @@ struct PipelineRunOptions {
   std::size_t shards = 4;
   std::size_t batch_size = 64;
   std::size_t producers = 1;
-  bool zero_copy = true;
 };
 
 // Runs the fixture stream through a pipeline.  With several producers,
@@ -514,7 +542,6 @@ std::vector<PeerEvent> pipeline_events_opt(const PipelineRunOptions& opt,
   config.drain_batch = 32;
   config.batch_size = opt.batch_size;
   config.num_producers = opt.producers;
-  config.zero_copy = opt.zero_copy;
   StreamPipeline pipeline(f.study->dictionary(), f.study->registry(), config);
   if (auto dump = f.study->initial_table_dump()) {
     pipeline.init_from_table_dump(Platform::kRis, *dump);
@@ -597,18 +624,6 @@ TEST(StreamPipeline, EquivalenceAcrossShardsBatchesProducers) {
       }
     }
   }
-}
-
-// The owning-FeedUpdate slow path (zero_copy = false) stays behind a
-// config knob as the A/B baseline; its event set must match the
-// zero-copy plane's (and hence the sequential engine's) exactly.
-TEST(StreamPipeline, OwningSlowPathMatchesZeroCopyPath) {
-  EngineStats fast_stats, slow_stats;
-  auto fast = pipeline_events_opt({.zero_copy = true}, &fast_stats);
-  auto slow = pipeline_events_opt({.zero_copy = false}, &slow_stats);
-  ASSERT_FALSE(fast.empty());
-  EXPECT_TRUE(fast == slow);
-  EXPECT_EQ(fast_stats, slow_stats);
 }
 
 // Randomized flush stress: interleave push()/flush() at random points

@@ -13,7 +13,6 @@ using namespace bgpbh;
 
 int main() {
   api::SessionConfig config;
-  config.mode = api::SessionConfig::Mode::kBatch;
   api::AnalysisSession session(config);
   const topology::AsGraph& graph = session.graph();
   routing::PropagationEngine& propagation = session.propagation();

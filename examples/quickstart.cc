@@ -16,7 +16,7 @@ using namespace bgpbh;
 
 int main() {
   api::SessionConfig config;
-  config.mode = api::SessionConfig::Mode::kBatch;
+  config.mode = api::SessionConfig::Mode::kLiveReplay;
   config.study.window_start = util::from_date(2017, 3, 1);
   config.study.window_end = util::from_date(2017, 3, 8);
   config.study.workload.intensity_scale = 0.05;
@@ -61,7 +61,8 @@ int main() {
                 users.c_str(), util::format_duration(event.duration()).c_str());
   }
 
-  // Composable queries: the same builder serves batch and live runs.
+  // Composable queries: the same builder serves replayed, live-fed and
+  // reopened sessions.
   util::SimTime day1_end = config.study.window_start + util::kDay;
   std::printf("\nqueries:\n");
   std::printf("  events overlapping day 1:            %zu\n",

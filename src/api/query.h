@@ -30,7 +30,7 @@ class EventQuery {
   EventQuery() = default;
 
   // Events overlapping [t0, t1) — core::overlaps_window, the same rule
-  // as Study::events_in and EventStore::events_in.
+  // as EventStore::events_in and SegmentSet::events_in.
   EventQuery& between(util::SimTime t0, util::SimTime t1);
 
   // Events of one blackholing provider (ISP or IXP).

@@ -44,9 +44,21 @@ AnalysisSession::AnalysisSession(SessionConfig config)
   // Trace ring: configure before any wiring (including the fabric
   // early-return below) so every mode honors the session's knobs.
   metrics_.trace().configure(config_.trace);
-  const std::size_t shards = config_.num_shards == 0 ? 1 : config_.num_shards;
-  const std::size_t producers =
-      config_.num_producers == 0 ? 1 : config_.num_producers;
+  // Zero shards or producers mean one, normalized once here for every
+  // later reader (pipeline, fabric, checkpoint shape, drain()).
+  config_.num_shards = std::max<std::size_t>(config_.num_shards, 1);
+  config_.num_producers = std::max<std::size_t>(config_.num_producers, 1);
+  const std::size_t shards = config_.num_shards;
+  const std::size_t producers = config_.num_producers;
+  // Ingest validation, shared by the in-process and fabric planes.
+  if (!reopen()) {
+    recovery::QuarantineConfig qc;
+    qc.max_as_path_hops = config_.max_as_path_hops;
+    qc.max_communities = config_.max_communities;
+    qc.error_budget = config_.poison_error_budget;
+    qc.metrics = &metrics_;
+    quarantine_ = std::make_unique<recovery::PoisonQuarantine>(producers, qc);
+  }
   // Fabric client: the data plane is a FabricRouter instead of a local
   // pipeline; num_shards is the global slot count.  The incompatible
   // knobs below are programming errors, so they throw in release too.
@@ -66,12 +78,6 @@ AnalysisSession::AnalysisSession(SessionConfig config)
           "bgpbh: fabric mode requires study.table_dump_episodes == 0; a "
           "table dump would be folded once per remote slot session");
     }
-    recovery::QuarantineConfig qc;
-    qc.max_as_path_hops = config_.max_as_path_hops;
-    qc.max_communities = config_.max_communities;
-    qc.error_budget = config_.poison_error_budget;
-    qc.metrics = &metrics_;
-    quarantine_ = std::make_unique<recovery::PoisonQuarantine>(producers, qc);
     fabric_ = std::make_unique<fabric::FabricRouter>(config_.fabric, shards,
                                                      producers, &metrics_);
     return;
@@ -81,7 +87,7 @@ AnalysisSession::AnalysisSession(SessionConfig config)
   // position — the writer's own open then recovers/reseals exactly the
   // boundary segment the truncation left footer-less.
   std::optional<recovery::LoadResult> loaded;
-  if (live() && config_.recover && !config_.persist_dir.empty()) {
+  if (!reopen() && config_.recover && !config_.persist_dir.empty()) {
     loaded = recovery::load_latest_checkpoint(config_.persist_dir);
     if (loaded) {
       const recovery::Checkpoint& cp = loaded->checkpoint;
@@ -143,120 +149,112 @@ AnalysisSession::AnalysisSession(SessionConfig config)
     closed_ = true;  // an archive view is born closed
     return;
   }
-  if (live()) {
-    stream::PipelineConfig pc = pipeline_config(config_);
-    pc.metrics = &metrics_;
-    pipeline_ = std::make_unique<stream::StreamPipeline>(
-        study_->dictionary(), study_->registry(), pc);
-    // Spill hook before anything can ingest (the store's lifecycle
-    // contract): every sealed chunk — including finish()'s force-closed
-    // remainder — crosses the bounded queue to the segment writer.
-    if (spill_) {
-      pipeline_->store().set_spill_listener(
-          [this](std::size_t, std::vector<core::PeerEvent> chunk) {
-            spill_->submit(std::move(chunk));
-          });
+  stream::PipelineConfig pc = pipeline_config(config_);
+  pc.metrics = &metrics_;
+  pipeline_ = std::make_unique<stream::StreamPipeline>(
+      study_->dictionary(), study_->registry(), pc);
+  // Spill hook before anything can ingest (the store's lifecycle
+  // contract): every sealed chunk — including finish()'s force-closed
+  // remainder — crosses the bounded queue to the segment writer.
+  if (spill_) {
+    pipeline_->store().set_spill_listener(
+        [this](std::size_t, std::vector<core::PeerEvent> chunk) {
+          spill_->submit(std::move(chunk));
+        });
+  }
+  // Restore the checkpointed cut into the not-yet-started pipeline:
+  // open state into the shard engines, absolute watermarks into the
+  // workers (so the NEXT checkpoint's watermarks stay absolute),
+  // replay-skips into the producers, layers into the grouper.
+  if (loaded) {
+    recovery::Checkpoint& cp = loaded->checkpoint;
+    recovered_totals_ = recovery::producer_totals(cp);
+    for (std::size_t s = 0; s < cp.shards.size(); ++s) {
+      pipeline_->seed_watermarks(s, cp.shards[s].watermarks);
+      pipeline_->shard_engine(s).import_open_state(
+          std::move(cp.shards[s].open_state));
     }
-    // Restore the checkpointed cut into the not-yet-started pipeline:
-    // open state into the shard engines, absolute watermarks into the
-    // workers (so the NEXT checkpoint's watermarks stay absolute),
-    // replay-skips into the producers, layers into the grouper.
-    if (loaded) {
-      recovery::Checkpoint& cp = loaded->checkpoint;
-      recovered_totals_ = recovery::producer_totals(cp);
-      for (std::size_t s = 0; s < cp.shards.size(); ++s) {
-        pipeline_->seed_watermarks(s, cp.shards[s].watermarks);
-        pipeline_->shard_engine(s).import_open_state(
-            std::move(cp.shards[s].open_state));
-      }
-      // Suffix-feed recovery (fabric shard servers): the feeder resumes
-      // each producer exactly past the recovered accepted count, so the
-      // replay-skip arming below — which expects a full re-feed from
-      // index zero — must be left off.
-      if (!config_.recover_suffix_feed) {
-        for (std::size_t p = 0; p < producers; ++p) {
-          std::vector<std::uint64_t> skip(cp.shards.size(), 0);
-          for (std::size_t s = 0; s < cp.shards.size(); ++s) {
-            skip[s] = cp.shards[s].watermarks[p];
-          }
-          pipeline_->producer(p).set_replay_skip(std::move(skip));
+    // Suffix-feed recovery (fabric shard servers): the feeder resumes
+    // each producer exactly past the recovered accepted count, so the
+    // replay-skip arming below — which expects a full re-feed from
+    // index zero — must be left off.
+    if (!config_.recover_suffix_feed) {
+      for (std::size_t p = 0; p < producers; ++p) {
+        std::vector<std::uint64_t> skip(cp.shards.size(), 0);
+        for (std::size_t s = 0; s < cp.shards.size(); ++s) {
+          skip[s] = cp.shards[s].watermarks[p];
         }
-      }
-      grouper_.restore_layers(cp.correlated, cp.grouped);
-      recovered_ = true;
-      recovered_seq_ = cp.seq;
-    }
-    // §4.2 initialization is part of the configured study in every
-    // mode (study.table_dump_episodes == 0 disables it) — but a
-    // checkpoint that already covers the dump's opens must not fold
-    // them in twice.
-    const bool dump_covered = loaded && loaded->checkpoint.includes_table_dump;
-    bool has_dump = dump_covered;
-    if (auto dump = study_->initial_table_dump()) {
-      has_dump = true;
-      if (!dump_covered) {
-        pipeline_->init_from_table_dump(routing::Platform::kRis, *dump);
+        pipeline_->producer(p).set_replay_skip(std::move(skip));
       }
     }
-    // Supervision + ingest-validation planes.
-    recovery::QuarantineConfig qc;
-    qc.max_as_path_hops = config_.max_as_path_hops;
-    qc.max_communities = config_.max_communities;
-    qc.error_budget = config_.poison_error_budget;
-    qc.metrics = &metrics_;
-    quarantine_ = std::make_unique<recovery::PoisonQuarantine>(producers, qc);
-    if (config_.stall_deadline.count() > 0) {
-      std::vector<recovery::WatchedShard> watched;
-      watched.reserve(shards);
-      for (std::size_t i = 0; i < shards; ++i) {
-        watched.push_back(recovery::WatchedShard{
-            [this, i] { return pipeline_->shard_heartbeat(i); },
-            [this, i] { return pipeline_->shard_queue_depth(i); }});
-      }
-      recovery::WatchdogConfig wc;
-      wc.poll = config_.watchdog_poll;
-      wc.stall_deadline = config_.stall_deadline;
-      wc.metrics = &metrics_;
-      watchdog_ = std::make_unique<recovery::Watchdog>(std::move(watched), wc);
+    grouper_.restore_layers(cp.correlated, cp.grouped);
+    recovered_ = true;
+    recovered_seq_ = cp.seq;
+  }
+  // §4.2 initialization is part of the configured study in every
+  // mode (study.table_dump_episodes == 0 disables it) — but a
+  // checkpoint that already covers the dump's opens must not fold
+  // them in twice.
+  const bool dump_covered = loaded && loaded->checkpoint.includes_table_dump;
+  bool has_dump = dump_covered;
+  if (auto dump = study_->initial_table_dump()) {
+    has_dump = true;
+    if (!dump_covered) {
+      pipeline_->init_from_table_dump(routing::Platform::kRis, *dump);
     }
-    // Checkpoint coordinator: wired whenever recovery could matter
-    // (cadence configured, or this session recovers — its successor
-    // will want a checkpoint too).
-    if (spill_ && (config_.checkpoint_every > 0 || config_.recover)) {
-      recovery::CoordinatorHooks hooks;
-      hooks.capture = [this](const std::function<void()>& fn,
-                             std::vector<stream::ShardCapture>& out) {
-        return pipeline_->capture(fn, out);
-      };
-      hooks.barrier = [this](storage::SpillWriter::BarrierResult& r) {
-        return spill_->barrier(r);
-      };
-      hooks.submit_control = [this](std::function<void()> fn) {
-        return dispatching() && dispatcher_->submit_control(std::move(fn));
-      };
-      hooks.capture_grouper = [this](std::vector<core::PrefixEvent>& c,
-                                     std::vector<core::PrefixEvent>& g) {
-        grouper_.capture_layers(c, g);
-      };
-      hooks.set_retention_floor = [this](std::uint64_t seq) {
-        spill_->set_retention_floor(seq);
-      };
-      hooks.updates_pushed = [this] { return pipeline_->updates_pushed(); };
-      recovery::CoordinatorConfig cc;
-      cc.dir = config_.persist_dir;
-      cc.num_shards = static_cast<std::uint32_t>(shards);
-      cc.num_producers = static_cast<std::uint32_t>(producers);
-      cc.checkpoint_every = config_.checkpoint_every;
-      cc.metrics = &metrics_;
-      coordinator_ = std::make_unique<recovery::CheckpointCoordinator>(
-          std::move(hooks), cc);
-      coordinator_->set_includes_table_dump(has_dump);
-      if (recovered_) coordinator_->set_next_seq(recovered_seq_ + 1);
-      // Bootstrap cut: a recovery-enabled session killed before its
-      // first cadence checkpoint still leaves a valid restore point
-      // (covering the table-dump / recovered state it started from).
-      coordinator_->checkpoint_now();
+  }
+  // Supervision plane.
+  if (config_.stall_deadline.count() > 0) {
+    std::vector<recovery::WatchedShard> watched;
+    watched.reserve(shards);
+    for (std::size_t i = 0; i < shards; ++i) {
+      watched.push_back(recovery::WatchedShard{
+          [this, i] { return pipeline_->shard_heartbeat(i); },
+          [this, i] { return pipeline_->shard_queue_depth(i); }});
     }
+    recovery::WatchdogConfig wc;
+    wc.poll = config_.watchdog_poll;
+    wc.stall_deadline = config_.stall_deadline;
+    wc.metrics = &metrics_;
+    watchdog_ = std::make_unique<recovery::Watchdog>(std::move(watched), wc);
+  }
+  // Checkpoint coordinator: wired whenever recovery could matter
+  // (cadence configured, or this session recovers — its successor
+  // will want a checkpoint too).
+  if (spill_ && (config_.checkpoint_every > 0 || config_.recover)) {
+    recovery::CoordinatorHooks hooks;
+    hooks.capture = [this](const std::function<void()>& fn,
+                           std::vector<stream::ShardCapture>& out) {
+      return pipeline_->capture(fn, out);
+    };
+    hooks.barrier = [this](storage::SpillWriter::BarrierResult& r) {
+      return spill_->barrier(r);
+    };
+    hooks.submit_control = [this](std::function<void()> fn) {
+      return dispatching() && dispatcher_->submit_control(std::move(fn));
+    };
+    hooks.capture_grouper = [this](std::vector<core::PrefixEvent>& c,
+                                   std::vector<core::PrefixEvent>& g) {
+      grouper_.capture_layers(c, g);
+    };
+    hooks.set_retention_floor = [this](std::uint64_t seq) {
+      spill_->set_retention_floor(seq);
+    };
+    hooks.updates_pushed = [this] { return pipeline_->updates_pushed(); };
+    recovery::CoordinatorConfig cc;
+    cc.dir = config_.persist_dir;
+    cc.num_shards = static_cast<std::uint32_t>(shards);
+    cc.num_producers = static_cast<std::uint32_t>(producers);
+    cc.checkpoint_every = config_.checkpoint_every;
+    cc.metrics = &metrics_;
+    coordinator_ = std::make_unique<recovery::CheckpointCoordinator>(
+        std::move(hooks), cc);
+    coordinator_->set_includes_table_dump(has_dump);
+    if (recovered_) coordinator_->set_next_seq(recovered_seq_ + 1);
+    // Bootstrap cut: a recovery-enabled session killed before its
+    // first cadence checkpoint still leaves a valid restore point
+    // (covering the table-dump / recovered state it started from).
+    coordinator_->checkpoint_now();
   }
 }
 
@@ -275,7 +273,7 @@ bool AnalysisSession::subscribe(EventSink& sink) {
   // The dispatcher snapshots the sink list when delivery begins; a
   // late subscriber could never be delivered to, so refuse it loudly
   // rather than ignore it silently.
-  bool late = started_.load(std::memory_order_acquire) || ran_;
+  bool late = started_.load(std::memory_order_acquire);
   assert(!late && "subscribe() must precede run()/start()");
   if (late) return false;
   sinks_.push_back(&sink);
@@ -285,7 +283,7 @@ bool AnalysisSession::subscribe(EventSink& sink) {
 bool AnalysisSession::register_health(const HealthReporter& reporter) {
   // Same window as subscribe(): the reporter list is read lock-free by
   // the telemetry hook once delivery/ingest can run.
-  bool late = started_.load(std::memory_order_acquire) || ran_;
+  bool late = started_.load(std::memory_order_acquire);
   assert(!late && "register_health() must precede run()/start()");
   if (late) return false;
   health_reporters_.push_back(&reporter);
@@ -375,21 +373,18 @@ void AnalysisSession::start_dispatcher() {
       sinks_, &grouper_, config_.sink_queue_chunks,
       [this] { return snapshot(); }, config_.snapshot_every_events, &metrics_,
       config_.sink_overload, config_.sink_shed_deadline);
-  if (pipeline_) {
-    dispatcher_->start();
-    pipeline_->store().set_chunk_listener(
-        [this](std::size_t, std::vector<core::PeerEvent> chunk) {
-          dispatcher_->submit(std::move(chunk));
-        });
-  }
+  dispatcher_->start();
+  pipeline_->store().set_chunk_listener(
+      [this](std::size_t, std::vector<core::PeerEvent> chunk) {
+        dispatcher_->submit(std::move(chunk));
+      });
 }
 
 void AnalysisSession::require_live(const char* what) const {
-  if (!live()) {
+  if (reopen()) {
     throw std::logic_error(std::string("bgpbh: ") + what +
-                           " is only valid in live modes (kLiveReplay / "
-                           "kLiveFeed); kBatch/kReopen sessions use run() "
-                           "and queries");
+                           " is not valid on a kReopen session, which "
+                           "ingests nothing and only serves queries");
   }
 }
 
@@ -456,8 +451,7 @@ std::uint64_t AnalysisSession::feed(stream::UpdateSource& source) {
 void AnalysisSession::drain() {
   require_live("drain()");
   if (closed_ || !started_.load(std::memory_order_acquire)) return;
-  const std::size_t producers =
-      config_.num_producers == 0 ? 1 : config_.num_producers;
+  const std::size_t producers = config_.num_producers;
   if (fabric_) {
     for (std::size_t p = 0; p < producers; ++p) fabric_->flush(p);
     return;
@@ -506,39 +500,6 @@ void AnalysisSession::close(util::SimTime end_time) {
   if (spill_) spill_->stop();
 }
 
-void AnalysisSession::deliver_batch_results() {
-  if (sinks_.empty()) {
-    // No subscribers: queries serve the study's own (incremental)
-    // layers directly — see prefix_events() — so nothing to do here.
-    return;
-  }
-  // Reuse the dispatch thread so sink callbacks keep their contract
-  // (one thread, close order, cadence + final snapshot) in batch too.
-  // Cadence snapshots fold the delivered PREFIX of the event stream so
-  // a subscriber sees running totals, as it would live; the final
-  // request covers everything.
-  dispatcher_ = std::make_unique<SinkDispatcher>(
-      sinks_, &grouper_, config_.sink_queue_chunks,
-      [this] {
-        const auto& all = study_->events();
-        std::size_t delivered = static_cast<std::size_t>(
-            std::min<std::uint64_t>(dispatcher_->events_delivered(),
-                                    all.size()));
-        return snapshot_of(std::span(all.data(), delivered));
-      },
-      config_.snapshot_every_events, &metrics_);
-  dispatcher_->start();
-  const auto& events = study_->events();
-  constexpr std::size_t kChunk = 256;
-  for (std::size_t i = 0; i < events.size(); i += kChunk) {
-    std::span<const core::PeerEvent> chunk(
-        events.data() + i, std::min(kChunk, events.size() - i));
-    dispatcher_->submit(chunk);
-  }
-  dispatcher_->request_snapshot();
-  dispatcher_->stop();
-}
-
 void AnalysisSession::run() {
   if (config_.mode == SessionConfig::Mode::kLiveFeed) {
     throw std::logic_error(
@@ -546,30 +507,9 @@ void AnalysisSession::run() {
         "start()/push()/close()");
   }
   // kReopen: documented no-op — an archive view is born closed and
-  // queryable, there is nothing to run.  A second run() is also a
-  // no-op (idempotent by contract).
-  if (ran_ || reopen()) return;
-  ran_ = true;
-  if (!live()) {
-    study_->run();
-    deliver_batch_results();
-    // Batch persistence: the whole event set, close order, sealed
-    // before run() returns — a kReopen session on the same directory
-    // then serves identical queries.
-    if (spill_) {
-      const auto& events = study_->events();
-      constexpr std::size_t kChunk = 256;
-      for (std::size_t i = 0; i < events.size(); i += kChunk) {
-        spill_->submit(std::vector<core::PeerEvent>(
-            events.begin() + static_cast<std::ptrdiff_t>(i),
-            events.begin() + static_cast<std::ptrdiff_t>(
-                                 std::min(i + kChunk, events.size()))));
-      }
-      spill_->stop();
-    }
-    closed_ = true;
-    return;
-  }
+  // queryable, there is nothing to run.  A second run() (or a run()
+  // after close()) is also a no-op (idempotent by contract).
+  if (closed_) return;
   start();
   stream::VectorSource source(study_->replay_updates());
   pipeline_->run(source);
@@ -587,13 +527,9 @@ std::vector<core::PeerEvent> AnalysisSession::events(
     }
     return out;
   }
-  if (live()) {
+  if (pipeline_) {
     out = pipeline_->store().query(
         [&query](const core::PeerEvent& e) { return query.matches(e); });
-  } else if (!reopen()) {
-    for (const auto& e : study_->events()) {
-      if (query.matches(e)) out.push_back(e);
-    }
   }
   // Disk half of the merged view: the directory's pre-session segments
   // (all of them for kReopen).  Window-only queries could seek via the
@@ -613,13 +549,9 @@ std::vector<core::PeerEvent> AnalysisSession::events(
 std::size_t AnalysisSession::count(const EventQuery& query) const {
   if (fabric_) return events(query).size();
   std::size_t n = 0;
-  if (live()) {
+  if (pipeline_) {
     n = pipeline_->store().count(
         [&query](const core::PeerEvent& e) { return query.matches(e); });
-  } else if (!reopen()) {
-    for (const auto& e : study_->events()) {
-      if (query.matches(e)) ++n;
-    }
   }
   if (disk_) {
     n += disk_->count(
@@ -629,7 +561,6 @@ std::size_t AnalysisSession::count(const EventQuery& query) const {
 }
 
 bool AnalysisSession::dispatching() const {
-  if (!live()) return dispatcher_ != nullptr;  // batch: single-threaded run()
   // dispatcher_ is written inside the one-shot start and never again;
   // started_ == true (acquire) therefore makes the pointer safe to
   // read even while other threads are pushing.
@@ -637,16 +568,10 @@ bool AnalysisSession::dispatching() const {
 }
 
 std::vector<core::PrefixEvent> AnalysisSession::prefix_events() const {
-  // A merged live+disk (or kReopen) view must group over events(), not
-  // the study's own layers — hence the !disk_ guard on the batch
-  // shortcut; the dispatching grouper never covers disk events either,
-  // but a resume session's grouper only saw this session's stream, so
-  // fall through to the recompute when a disk half exists.
+  // A merged live+disk (or kReopen) view must group over events(): a
+  // resume session's dispatching grouper only saw this session's
+  // stream, so fall through to the recompute when a disk half exists.
   if (dispatching() && !disk_) return grouper_.correlated();
-  if (config_.mode == SessionConfig::Mode::kBatch && default_grouping() &&
-      !disk_) {
-    return study_->prefix_events();
-  }
   core::IncrementalGrouper grouper(config_.correlate_tolerance,
                                    config_.group_timeout);
   for (const auto& e : events()) grouper.add(e);
@@ -655,36 +580,25 @@ std::vector<core::PrefixEvent> AnalysisSession::prefix_events() const {
 
 std::vector<core::PrefixEvent> AnalysisSession::grouped_events() const {
   if (dispatching() && !disk_) return grouper_.grouped();
-  if (config_.mode == SessionConfig::Mode::kBatch && default_grouping() &&
-      !disk_) {
-    return study_->grouped_events();
-  }
   core::IncrementalGrouper grouper(config_.correlate_tolerance,
                                    config_.group_timeout);
   for (const auto& e : events()) grouper.add(e);
   return grouper.grouped();
 }
 
-stream::EventStore::Snapshot AnalysisSession::snapshot_of(
-    std::span<const core::PeerEvent> events) const {
-  stream::EventStore::Snapshot snap;
-  bool any = false;
-  for (const auto& e : events) {
-    stream::EventStore::fold_event(snap, any, e);
-  }
-  return snap;
-}
-
 stream::EventStore::Snapshot AnalysisSession::snapshot() const {
-  // This session's half: live store counters / batch study fold.
   stream::EventStore::Snapshot snap;
   bool has_any = false;
-  if (fabric_) return snapshot_of(events());
-  if (live()) {
+  if (fabric_) {
+    // Fold the scatter-gathered remote event set.
+    for (const auto& e : events()) {
+      stream::EventStore::fold_event(snap, has_any, e);
+    }
+    return snap;
+  }
+  // This session's half: the live store's counters.
+  if (pipeline_) {
     snap = pipeline_->store().snapshot();
-    has_any = snap.total_events > 0;
-  } else if (!reopen()) {
-    snap = snapshot_of(study_->events());
     has_any = snap.total_events > 0;
   }
   // Disk half from the summary cached at open — the segment snapshot
@@ -714,33 +628,28 @@ core::EngineStats AnalysisSession::stats() const {
                       "events, not engine state");
   if (reopen()) return {};
   if (fabric_) return {};  // engines live on the shard servers
-  if (!live()) return study_->engine_stats();
-  assert(closed_ && "live stats() requires close(): shard engines are "
+  assert(closed_ && "stats() requires close(): shard engines are "
                     "readable only after the workers joined");
   return pipeline_->merged_stats();
 }
 
+// Fabric clients keep open state on the shard servers: 0 locally.
 std::size_t AnalysisSession::open_event_count() const {
-  if (fabric_) return 0;  // open state lives on the shard servers
-  return live() ? pipeline_->open_event_count() : 0;
+  return pipeline_ ? pipeline_->open_event_count() : 0;
 }
 
 std::size_t AnalysisSession::open_at_close() const {
-  if (fabric_) return 0;
-  return live() ? pipeline_->open_at_finish() : 0;
+  return pipeline_ ? pipeline_->open_at_finish() : 0;
 }
 
 std::uint64_t AnalysisSession::updates_pushed() const {
   if (fabric_) return fabric_->updates_pushed();
-  if (live()) return pipeline_->updates_pushed();
-  if (reopen()) return 0;
-  return study_->engine_stats().updates_processed;
+  return pipeline_ ? pipeline_->updates_pushed() : 0;
 }
 
 std::size_t AnalysisSession::num_shards() const {
-  if (reopen()) return 0;
   if (fabric_) return fabric_->num_slots();
-  return live() ? pipeline_->num_shards() : 1;
+  return pipeline_ ? pipeline_->num_shards() : 0;
 }
 
 bool AnalysisSession::checkpoint_now() {

@@ -2,35 +2,32 @@
 //
 // The paper's measurement loop (GiotsasRSFDB17 §4–§9) — ingest updates,
 // infer per-peer events, correlate them into §9 prefix-event groups,
-// query the result — used to be split across two disjoint surfaces:
-// the batch core::Study (full-window replay, aggregates at the end)
-// and the live stream::StreamPipeline (sharded ingestion, empty
-// EventStore until finalize()).  AnalysisSession subsumes both behind
-// one object model:
+// query the result — behind one object model and one data plane, the
+// sharded stream::StreamPipeline.  core::Study supplies the substrates
+// and the replay workload; its sequential run() is only the reference
+// the equivalence tests compare sessions against.
 //
 //   api::SessionConfig cfg;                 // source + shards + dictionary
 //   cfg.study.window_start = ...;
 //   api::AnalysisSession session(cfg);
 //   session.subscribe(my_sink);             // EventSink callbacks
-//   session.run();                          // batch or live replay
+//   session.run();                          // replay the study window
 //   auto events = session.events(api::EventQuery().between(t0, t1));
 //   auto groups = session.grouped_events(); // §9, incremental
 //
-// Four source modes, one interaction model:
-//   * kBatch      — Study replay through one engine; sinks are fed the
-//                   closed events in close order when run() completes.
-//   * kLiveReplay — the same study workload streamed through the
-//                   sharded zero-copy pipeline; sinks fire while the
-//                   shard workers ingest.  run() = start + feed + close.
+// Three source modes, one interaction model:
+//   * kLiveReplay — the study workload streamed through the sharded
+//                   zero-copy pipeline; sinks fire while the shard
+//                   workers ingest.  run() = start + feed + close.
 //   * kLiveFeed   — the caller pushes updates (or drains an
 //                   UpdateSource) and closes explicitly: the
 //                   production monitoring shape.
 //   * kReopen     — no ingestion at all: queries served from the
 //                   persistent segment log a previous session wrote to
 //                   `persist_dir` (src/storage/) — the restart-
-//                   survival half of the persistence story.  Any mode
-//                   with `persist_dir` set spills its closed events
-//                   there; `resume` additionally merges the
+//                   survival half of the persistence story.  Both
+//                   ingesting modes spill their closed events to a set
+//                   `persist_dir`; `resume` additionally merges the
 //                   directory's prior contents into every query (the
 //                   live+disk view).
 //
@@ -38,7 +35,7 @@
 // subscriptions (delivered off the hot path through a bounded
 // SinkDispatcher — zero sinks means the pipeline hot path is
 // untouched), EventQuery reads (identical results from live per-shard
-// lanes or the finalized/batch event set, canonically sorted), and the
+// lanes or the finalized event set, canonically sorted), and the
 // incremental §9 layers (prefix_events()/grouped_events(), maintained
 // by the built-in LiveGrouper and byte-equivalent to batch
 // correlate()+group_events() on the same stream).
@@ -49,7 +46,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "api/dispatch.h"
@@ -73,7 +69,6 @@ namespace bgpbh::api {
 
 struct SessionConfig {
   enum class Mode {
-    kBatch,       // sequential Study replay, sinks fed at run()
     kLiveReplay,  // study workload through the sharded live pipeline
     kLiveFeed,    // caller-fed live pipeline: start()/push()/close()
     kReopen,      // serve queries from persist_dir's segment log only
@@ -84,8 +79,8 @@ struct SessionConfig {
   // table-dump episodes seed §4.2 initialization in every mode.
   core::StudyConfig study;
 
-  // Live data plane shape (ignored in kBatch); forwarded to
-  // stream::PipelineConfig.
+  // Data plane shape; forwarded to stream::PipelineConfig.  Zero
+  // shards or producers mean one.
   std::size_t num_shards = 4;
   std::size_t num_producers = 1;
   std::size_t queue_capacity = 4096;
@@ -108,15 +103,15 @@ struct SessionConfig {
   // Non-empty: closed events are spilled to an append-only segment log
   // in this directory.  Live modes spill every sealed store chunk
   // through a storage::SpillWriter (bounded queue + one writer thread,
-  // so segment I/O never runs on an ingesting thread); kBatch spills
-  // the study's event set at run(); kReopen serves queries from the
-  // directory without running anything.  Opening recovers and reseals
-  // any torn segment a crashed writer left behind; a directory that
-  // cannot be created/written throws std::runtime_error from the
-  // constructor (silently running a persistence-configured monitor
-  // without persistence is the one unacceptable failure mode).
+  // so segment I/O never runs on an ingesting thread); kReopen serves
+  // queries from the directory without running anything.  Opening
+  // recovers and reseals any torn segment a crashed writer left behind;
+  // a directory that cannot be created/written throws
+  // std::runtime_error from the constructor (silently running a
+  // persistence-configured monitor without persistence is the one
+  // unacceptable failure mode).
   std::string persist_dir;
-  // Live/batch modes with persist_dir: also open the segments already
+  // Live modes with persist_dir: also open the segments already
   // in the directory (prior sessions') and serve events()/count()/
   // snapshot() as the MERGED live+disk view.  The disk snapshot is
   // taken at construction, before this session writes anything, so its
@@ -252,16 +247,17 @@ class AnalysisSession {
 
   // ---- execution -------------------------------------------------------
   // Lifecycle misuse is DEFINED, not undefined: calling a live-mode
-  // entry point (start/push/flush/feed/close) on a kBatch or kReopen
-  // session, or run() on a kLiveFeed session, throws std::logic_error
-  // — a programming error, loud in release builds too.  After close(),
+  // entry point (start/push/flush/feed/close) on a kReopen session, or
+  // run() on a kLiveFeed session, throws std::logic_error — a
+  // programming error, loud in release builds too.  After close(),
   // push()/feed() return false/0 (nothing accepted), flush()/close()
   // are no-ops, and a second run() or start() is a no-op: a closed
   // session quietly refuses work instead of corrupting state.
 
-  // kBatch / kLiveReplay: runs the configured study window end to end
-  // (including sink delivery and close).  Idempotent.  kReopen: no-op
-  // (an archive view is born closed and queryable).
+  // kLiveReplay: start, feed study().replay_updates(), and close at the
+  // window end (sinks fire during the replay).  No-op once closed, so
+  // idempotent.  kReopen: no-op (an archive view is born closed and
+  // queryable).
   void run();
 
   // kLiveFeed: start the pipeline (idempotent and safe to race —
@@ -317,7 +313,7 @@ class AnalysisSession {
   // ---- queries ---------------------------------------------------------
   // Peer-granularity events matching `query`, canonically sorted.
   // Identical result sets from live lanes (mid-run) and the finalized
-  // store; in kBatch, from the study's event set.
+  // store.
   std::vector<core::PeerEvent> events(const EventQuery& query = {}) const;
   std::size_t count(const EventQuery& query = {}) const;
 
@@ -334,14 +330,13 @@ class AnalysisSession {
   // stream (delivered inline when no dispatch thread is running).
   void publish_snapshot();
 
-  // Engine statistics; valid after run() (batch) / close() (live).
+  // Engine statistics; valid after close() (or run(), which closes).
   core::EngineStats stats() const;
 
   // Live gauges.
   std::size_t open_event_count() const;
   // Events force-closed at the close() cut-off — "still active at the
-  // end of the archive" (always 0 for kBatch: Study counts those
-  // within its own event set).
+  // end of the archive".
   std::size_t open_at_close() const;
   std::uint64_t updates_pushed() const;
   std::size_t num_shards() const;
@@ -375,25 +370,14 @@ class AnalysisSession {
 
  private:
   bool reopen() const { return config_.mode == SessionConfig::Mode::kReopen; }
-  bool live() const {
-    return config_.mode == SessionConfig::Mode::kLiveReplay ||
-           config_.mode == SessionConfig::Mode::kLiveFeed;
-  }
-  bool default_grouping() const {
-    return config_.correlate_tolerance == core::kCorrelateTolerance &&
-           config_.group_timeout == core::kGroupTimeout;
-  }
   // True when the dispatch thread owns sink delivery and grouper_ is
   // being fed.  Races with a concurrent lazy start are resolved by
   // reading started_ (release-stored after the dispatcher is fully
   // wired) before touching dispatcher_.
   bool dispatching() const;
   void start_dispatcher();
-  void deliver_batch_results();
-  // Throws std::logic_error naming `what` when the mode is not live.
+  // Throws std::logic_error naming `what` on a kReopen session.
   void require_live(const char* what) const;
-  stream::EventStore::Snapshot snapshot_of(
-      std::span<const core::PeerEvent> events) const;
 
   SessionConfig config_;
   // Declared before every component that registers instruments or
@@ -408,10 +392,9 @@ class AnalysisSession {
   std::vector<const HealthReporter*> health_reporters_;
   bgpbh::telemetry::Gauge* health_gauge_ = nullptr;
   std::uint64_t health_hook_ = 0;
-  // Persistence: the spill writer receives every sealed store chunk
-  // (live) or the study's events (batch); disk_ is the point-in-time
-  // snapshot of the directory's pre-existing segments that resume /
-  // kReopen queries merge in.
+  // Persistence: the spill writer receives every sealed store chunk;
+  // disk_ is the point-in-time snapshot of the directory's pre-existing
+  // segments that resume / kReopen queries merge in.
   std::unique_ptr<storage::SpillWriter> spill_;
   std::unique_ptr<storage::SegmentSet> disk_;
   stream::EventStore::Snapshot disk_snapshot_;  // folded once at open
@@ -438,7 +421,6 @@ class AnalysisSession {
   // update can reach a worker before the subscription layer is wired.
   std::once_flag start_once_;
   std::atomic<bool> started_{false};
-  bool ran_ = false;
   bool closed_ = false;
 };
 

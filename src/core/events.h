@@ -107,9 +107,9 @@ struct PrefixEvent {
 };
 
 // The one [t0, t1) window-overlap rule every event query uses —
-// Study::events_in, stream::EventStore::events_in and api::EventQuery
-// all filter through this helper, so "overlaps the window" can never
-// drift between the batch and live surfaces.
+// Study's table aggregates, stream::EventStore::events_in and
+// api::EventQuery all filter through this helper, so "overlaps the
+// window" can never drift between the batch and live surfaces.
 constexpr bool overlaps_window(util::SimTime start, util::SimTime end,
                                util::SimTime t0, util::SimTime t1) {
   return end >= t0 && start < t1;

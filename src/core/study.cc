@@ -21,9 +21,7 @@ Study::Study(StudyConfig config)
       propagation_(std::make_unique<routing::PropagationEngine>(
           graph_, *cones_, config_.seed ^ 0xABCDULL)),
       workload_(std::make_unique<workload::WorkloadGenerator>(graph_, *cones_,
-                                                              config_.workload)),
-      engine_(std::make_unique<InferenceEngine>(dictionary_, registry_,
-                                                config_.engine)) {}
+                                                              config_.workload)) {}
 
 bgp::mrt::TableDump Study::build_table_dump() const {
   // Episodes already active when monitoring starts are only visible in
@@ -77,19 +75,6 @@ std::optional<bgp::mrt::TableDump> Study::initial_table_dump() const {
   net::BufWriter w;
   bgp::mrt::encode_table_dump(dump, w);
   return bgp::mrt::decode_table_dump(w.data());
-}
-
-void Study::seed_table_dump() {
-  if (auto dump = initial_table_dump()) {
-    engine_->init_from_table_dump(Platform::kRis, *dump);
-  }
-}
-
-void Study::feed_update(const routing::FeedUpdate& update) {
-  engine_->process(update.platform, update.update);
-  if (config_.collect_usage) {
-    usage_.observe(update.update, dictionary_);
-  }
 }
 
 void Study::run_background_day(std::int64_t day,
@@ -206,15 +191,22 @@ void Study::run() {
   if (ran_) return;
   ran_ = true;
 
-  seed_table_dump();
-
+  // The engine lives only for the replay: the sequential reference
+  // every sharded / live equivalence test compares against.
+  InferenceEngine engine(dictionary_, registry_, config_.engine);
+  if (auto dump = initial_table_dump()) {
+    engine.init_from_table_dump(Platform::kRis, *dump);
+  }
   walk_updates(*workload_, *propagation_,
-               [this](const routing::FeedUpdate& u) { feed_update(u); },
+               [this, &engine](const routing::FeedUpdate& u) {
+                 engine.process(u.platform, u.update);
+                 if (config_.collect_usage) usage_.observe(u.update, dictionary_);
+               },
                &truth_);
 
-  engine_->finish(config_.window_end);
-  events_ = engine_->events();
-  engine_stats_ = engine_->stats();
+  engine.finish(config_.window_end);
+  events_ = engine.events();
+  engine_stats_ = engine.stats();
   // Same incremental core the live session's api::LiveGrouper runs —
   // the batch aggregates are the incremental ones fed in close order.
   IncrementalGrouper grouper;
@@ -282,24 +274,6 @@ bool Study::has_direct_feed(const ProviderRef& provider,
     if (fleet_.sessions()[si].platform == platform) return true;
   }
   return false;
-}
-
-std::vector<const PeerEvent*> Study::events_in(util::SimTime t0,
-                                               util::SimTime t1) const {
-  std::vector<const PeerEvent*> out;
-  for (const auto& e : events_) {
-    if (overlaps_window(e.start, e.end, t0, t1)) out.push_back(&e);
-  }
-  return out;
-}
-
-std::vector<const PrefixEvent*> Study::prefix_events_in(util::SimTime t0,
-                                                        util::SimTime t1) const {
-  std::vector<const PrefixEvent*> out;
-  for (const auto& e : prefix_events_) {
-    if (overlaps_window(e.start, e.end, t0, t1)) out.push_back(&e);
-  }
-  return out;
 }
 
 std::map<Platform, Study::VisibilityRow> Study::table3(util::SimTime t0,

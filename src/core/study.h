@@ -120,11 +120,6 @@ class Study {
   bool has_direct_feed(const ProviderRef& provider) const;
   bool has_direct_feed(const ProviderRef& provider, routing::Platform p) const;
 
-  // Events filtered to [t0, t1) (by overlap).
-  std::vector<const PeerEvent*> events_in(util::SimTime t0, util::SimTime t1) const;
-  std::vector<const PrefixEvent*> prefix_events_in(util::SimTime t0,
-                                                   util::SimTime t1) const;
-
   // ---- streaming-pipeline interop ---------------------------------------
   // Re-generates the exact update stream run() feeds into the engine
   // (excluding table-dump initialization) from fresh, identically
@@ -141,7 +136,6 @@ class Study {
  private:
   using UpdateSink = std::function<void(const routing::FeedUpdate&)>;
 
-  void feed_update(const routing::FeedUpdate& update);
   // Walks the full day loop (episodes + background traffic) against the
   // given substrates, emitting every collector update into `sink`;
   // optionally records ground truth.  run() and replay_updates() share
@@ -155,7 +149,6 @@ class Study {
                           routing::PropagationEngine& propagation,
                           const UpdateSink& sink) const;
   bgp::mrt::TableDump build_table_dump() const;
-  void seed_table_dump();
 
   StudyConfig config_;
   topology::AsGraph graph_;
@@ -166,7 +159,6 @@ class Study {
   routing::CollectorFleet fleet_;
   std::unique_ptr<routing::PropagationEngine> propagation_;
   std::unique_ptr<workload::WorkloadGenerator> workload_;
-  std::unique_ptr<InferenceEngine> engine_;
   dictionary::CommunityUsage usage_;
 
   std::vector<PeerEvent> events_;

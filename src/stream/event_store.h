@@ -119,7 +119,7 @@ class EventStore {
       const std::function<bool(const core::PeerEvent&)>& pred) const;
 
   // Events overlapping [t0, t1) (core::overlaps_window, the same rule
-  // as Study::events_in).
+  // as api::EventQuery::between).
   std::vector<core::PeerEvent> events_in(util::SimTime t0,
                                          util::SimTime t1) const;
   std::size_t count_in(util::SimTime t0, util::SimTime t1) const;

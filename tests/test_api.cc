@@ -1,6 +1,6 @@
 // Tests for the public AnalysisSession API (src/api/):
 //   * EventQuery filter semantics and composition,
-//   * batch sessions match core::Study exactly,
+//   * replay sessions (kLiveReplay run()) match core::Study exactly,
 //   * the flagship equivalence contract: LiveGrouper's incremental §9
 //     groups are byte-identical to batch correlate()+group_events()
 //     across shard counts {1,3,8} x producer counts {1,3},
@@ -62,8 +62,8 @@ TEST(EventQuery, WindowUsesSharedOverlapRule) {
   EXPECT_TRUE(EventQuery().between(0, 101).matches(e));     // start edge
   EXPECT_FALSE(EventQuery().between(0, 100).matches(e));    // t1 exclusive
   EXPECT_FALSE(EventQuery().between(201, 300).matches(e));  // after
-  // Exactly the helper both Study::events_in and EventStore::events_in
-  // filter through.
+  // Exactly the helper both EventStore::events_in and
+  // SegmentSet::events_in filter through.
   EXPECT_EQ(EventQuery().between(0, 100).matches(e),
             core::overlaps_window(e.start, e.end, 0, 100));
 }
@@ -217,12 +217,12 @@ class CountingSink : public EventSink {
   std::size_t last_snapshot_total_ = 0;
 };
 
-// ---- batch mode -------------------------------------------------------
+// ---- replay mode ------------------------------------------------------
 
-TEST(AnalysisSession, BatchSessionMatchesStudy) {
+TEST(AnalysisSession, ReplaySessionMatchesStudy) {
   const auto& ref = reference();
   SessionConfig config;
-  config.mode = SessionConfig::Mode::kBatch;
+  config.mode = SessionConfig::Mode::kLiveReplay;
   config.study = study_config();
   AnalysisSession session(config);
   CountingSink sink;
@@ -314,19 +314,19 @@ TEST(AnalysisSession, ZeroSinkSessionServesIdenticalQueriesAndGroups) {
   EXPECT_TRUE(session->prefix_events() == ref.prefix_events);
   EXPECT_TRUE(session->grouped_events() == ref.grouped);
 
-  // Queries serve identical results to a batch session over the same
+  // Queries serve identical results to a replay session over the same
   // config (the one-surface contract).
-  SessionConfig batch_config;
-  batch_config.mode = SessionConfig::Mode::kBatch;
-  batch_config.study = study_config();
-  AnalysisSession batch(batch_config);
-  batch.run();
+  SessionConfig replay_config;
+  replay_config.mode = SessionConfig::Mode::kLiveReplay;
+  replay_config.study = study_config();
+  AnalysisSession replay(replay_config);
+  replay.run();
   auto window = EventQuery().between(study_config().window_start + util::kDay,
                                      study_config().window_start + 2 * util::kDay);
-  EXPECT_TRUE(session->events(window) == batch.events(window));
-  EXPECT_EQ(session->count(window), batch.count(window));
+  EXPECT_TRUE(session->events(window) == replay.events(window));
+  EXPECT_EQ(session->count(window), replay.count(window));
   auto ris = EventQuery().platform(Platform::kRis);
-  EXPECT_TRUE(session->events(ris) == batch.events(ris));
+  EXPECT_TRUE(session->events(ris) == replay.events(ris));
 }
 
 // ---- subscription semantics under sharding ----------------------------
@@ -488,28 +488,6 @@ TEST(AnalysisSession, PersistenceGridMemoryDiskAndMergedViewsIdentical) {
   }
 }
 
-TEST(AnalysisSession, BatchSessionPersistsAndReopens) {
-  namespace fs = std::filesystem;
-  const auto& ref = reference();
-  std::string dir =
-      (fs::temp_directory_path() / "bgpbh_api_persist_batch").string();
-  fs::remove_all(dir);
-  SessionConfig config;
-  config.mode = SessionConfig::Mode::kBatch;
-  config.study = study_config();
-  config.persist_dir = dir;
-  AnalysisSession session(config);
-  session.run();
-  EXPECT_EQ(session.events_persisted(), ref.events.size());
-
-  SessionConfig reopen_config;
-  reopen_config.mode = SessionConfig::Mode::kReopen;
-  reopen_config.persist_dir = dir;
-  AnalysisSession reopened(reopen_config);
-  EXPECT_TRUE(reopened.events() == ref.events);
-  fs::remove_all(dir);
-}
-
 TEST(AnalysisSession, SnapshotCadenceAndFinalSnapshot) {
   const auto& ref = reference();
   SessionConfig config;
@@ -527,18 +505,26 @@ TEST(AnalysisSession, SnapshotCadenceAndFinalSnapshot) {
 // session quietly refuses work.
 
 TEST(AnalysisSessionLifecycle, WrongModeEntryPointsThrow) {
-  SessionConfig batch_config;
-  batch_config.mode = SessionConfig::Mode::kBatch;
-  batch_config.study = study_config();
-  AnalysisSession batch(batch_config);
+  namespace fs = std::filesystem;
+  std::string dir =
+      (fs::temp_directory_path() / "bgpbh_api_lifecycle_wrong_mode").string();
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  SessionConfig reopen_config;
+  reopen_config.mode = SessionConfig::Mode::kReopen;
+  reopen_config.persist_dir = dir;
+  AnalysisSession reopened(reopen_config);
   FeedUpdate update;
-  EXPECT_THROW(batch.start(), std::logic_error);
-  EXPECT_THROW(batch.push(update), std::logic_error);
-  EXPECT_THROW(batch.flush(), std::logic_error);
-  EXPECT_THROW(batch.close(0), std::logic_error);
+  EXPECT_THROW(reopened.start(), std::logic_error);
+  EXPECT_THROW(reopened.push(update), std::logic_error);
+  EXPECT_THROW(reopened.flush(), std::logic_error);
+  EXPECT_THROW(reopened.close(0), std::logic_error);
   stream::VectorSource empty_source(std::vector<FeedUpdate>{});
-  EXPECT_THROW(batch.feed(empty_source), std::logic_error);
-  batch.run();  // still usable after the rejected calls
+  EXPECT_THROW(reopened.feed(empty_source), std::logic_error);
+  reopened.run();  // still a no-op after the rejected calls
+  EXPECT_TRUE(reopened.closed());
+  EXPECT_TRUE(reopened.events().empty());
+  fs::remove_all(dir);
 
   SessionConfig live_config;
   live_config.mode = SessionConfig::Mode::kLiveFeed;
@@ -618,7 +604,7 @@ TEST(AnalysisSessionLifecycle, ReopenRunIsANoOp) {
   fs::remove_all(dir);
   {
     SessionConfig config;
-    config.mode = SessionConfig::Mode::kBatch;
+    config.mode = SessionConfig::Mode::kLiveReplay;
     config.study = study_config();
     config.persist_dir = dir;
     AnalysisSession session(config);

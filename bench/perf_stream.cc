@@ -310,25 +310,30 @@ int main(int argc, char** argv) {
     probe.update.body.communities.add(bgp::Community(3356, 120));
     probe.update.body.communities.add(bgp::Community(1299, 3000));
     probe.update.body.announced.push_back(*net::Prefix::parse("20.7.0.0/16"));
-    // Warm until a full round adds zero producer-thread allocations
-    // (the block pool is bounded by staging + queue capacity, so this
-    // converges fast); afterwards every acquire recycles.
-    const std::uint64_t kWarm = 100000, kMeasure = 200000;
-    for (int round = 0; round < 10; ++round) {
-      std::uint64_t round_before = t_alloc_count;
-      for (std::uint64_t i = 0; i < kWarm; ++i) {
+    // Probes go in cycles of kBlockCacheSize, each followed by
+    // drain(): every block of a cycle is back in the pool before the
+    // next cycle starts, and the router's cache refill takes the top of
+    // the pool's LIFO free list, so the cycles keep reusing the same
+    // <= 2 x kBlockCacheSize blocks however the workers are scheduled.
+    // Once each of them has held the probe, its vectors fit and no
+    // copy can allocate.  Warming "until a round adds nothing" was not
+    // enough: a worker stall deeper than any in the warm-up pulled
+    // blocks last written by the study stream, whose AS path and
+    // community vectors were too short for the probe, and ~1 run in 6
+    // counted a few allocations.
+    constexpr std::uint64_t kCycle = stream::ShardRouter::kBlockCacheSize;
+    auto push_probes = [&](std::uint64_t n) {
+      for (std::uint64_t i = 1; i <= n; ++i) {
         probe.update.time += 1;
         session.push(probe);
+        if (i % kCycle == 0) session.drain();
       }
-      total_pushed += kWarm;
-      if (round > 0 && t_alloc_count == round_before) break;
-    }
+      total_pushed += n;
+    };
+    const std::uint64_t kWarm = 3125 * kCycle, kMeasure = 3125 * kCycle;
+    push_probes(kWarm);
     std::uint64_t before = t_alloc_count;
-    for (std::uint64_t i = 0; i < kMeasure; ++i) {
-      probe.update.time += 1;
-      session.push(probe);
-    }
-    total_pushed += kMeasure;
+    push_probes(kMeasure);
     std::uint64_t allocs = t_alloc_count - before;
     allocs_per_subupdate = static_cast<double>(allocs) / kMeasure;
     cadence_checkpoints = session.checkpoints_written();

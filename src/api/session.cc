@@ -16,7 +16,6 @@ stream::PipelineConfig pipeline_config(const SessionConfig& config) {
   pc.num_shards = config.num_shards;
   pc.num_producers = config.num_producers;
   pc.queue_capacity = config.queue_capacity;
-  pc.drain_batch = config.drain_batch;
   pc.batch_size = config.batch_size;
   pc.engine = config.study.engine;
   return pc;

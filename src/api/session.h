@@ -80,11 +80,11 @@ struct SessionConfig {
   core::StudyConfig study;
 
   // Data plane shape; forwarded to stream::PipelineConfig.  Zero
-  // shards or producers mean one.
+  // shards or producers mean one.  batch_size bounds queue transfers,
+  // not latency (see stream::StreamPipeline::Producer::kMaxStaging).
   std::size_t num_shards = 4;
   std::size_t num_producers = 1;
   std::size_t queue_capacity = 4096;
-  std::size_t drain_batch = 256;
   std::size_t batch_size = 64;
 
   // §9 grouping parameters (LiveGrouper; the correlate tolerance must
@@ -266,6 +266,9 @@ class AnalysisSession {
   // updates, close at the archive cut-off.
   void start();
   bool push(const routing::FeedUpdate& update, std::size_t producer = 0);
+  // Hand `producer`'s staged updates to the shard workers now.  A later
+  // push publishes anything staged for Producer::kMaxStaging, so only a
+  // feed that stops in the middle of a burst needs this.
   void flush(std::size_t producer = 0);
   std::uint64_t feed(stream::UpdateSource& source);
   void close(util::SimTime end_time);

@@ -330,7 +330,7 @@ bool FabricRouter::push(std::size_t p, const routing::FeedUpdate& update) {
   sub.update.peer_ip = update.update.peer_ip;
   sub.update.peer_asn = update.update.peer_asn;
   sub.update.collector_id = update.update.collector_id;
-  sub.ingest_ns = stream::ingest_stamp(update);
+  sub.ingest_ns = stream::ingest_stamp(update, util::wall_clock_ns());
   bgp::UpdateBody& sub_body = sub.update.body;
   stream::for_each_sub_update(
       update, num_slots_,

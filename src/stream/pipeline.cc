@@ -1,13 +1,25 @@
 #include "stream/pipeline.h"
 
+#include <algorithm>
+#include <limits>
+
 namespace bgpbh::stream {
+
+namespace {
+
+constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kMaxStagingNs =
+    std::chrono::nanoseconds(StreamPipeline::Producer::kMaxStaging).count();
+
+}  // namespace
 
 StreamPipeline::Producer::Producer(StreamPipeline& owner, std::size_t index,
                                    std::size_t num_shards, BlockPool& blocks,
                                    std::size_t batch_size)
     : owner_(&owner),
       router_(num_shards, blocks, static_cast<std::uint32_t>(index)),
-      batch_size_(batch_size), pending_(num_shards) {
+      batch_size_(batch_size), pending_(num_shards), staged_ns_(num_shards),
+      publish_due_ns_(kNever) {
   for (auto& buf : pending_) buf.reserve(batch_size);
 }
 
@@ -28,15 +40,42 @@ bool StreamPipeline::Producer::push(const routing::FeedUpdate& update) {
       return;
     }
     auto& buf = pending_[shard];
+    if (buf.empty()) {
+      staged_ns_[shard] = router_.clock_ns();
+      publish_due_ns_ =
+          std::min(publish_due_ns_, staged_ns_[shard] + kMaxStagingNs);
+    }
     buf.push_back(ref);
     if (buf.size() >= batch_size_) submit_shard(shard);
   });
+  // A clock that steps back reads as a long silence: publish, never hold.
+  const std::uint64_t now = router_.clock_ns();
+  if (now - last_push_ns_ >= kMaxStagingNs) {
+    flush();  // the feed is slow: batching would only add latency
+  } else if (now >= publish_due_ns_) {
+    publish_aged(now);
+  }
+  last_push_ns_ = now;
   return true;
 }
 
 void StreamPipeline::Producer::flush() {
   for (std::size_t shard = 0; shard < pending_.size(); ++shard) {
     if (!pending_[shard].empty()) submit_shard(shard);
+  }
+  publish_due_ns_ = kNever;
+}
+
+void StreamPipeline::Producer::publish_aged(std::uint64_t now_ns) {
+  publish_due_ns_ = kNever;
+  for (std::size_t shard = 0; shard < pending_.size(); ++shard) {
+    if (pending_[shard].empty()) continue;
+    if (now_ns - staged_ns_[shard] >= kMaxStagingNs) {
+      submit_shard(shard);
+    } else {
+      publish_due_ns_ =
+          std::min(publish_due_ns_, staged_ns_[shard] + kMaxStagingNs);
+    }
   }
 }
 
@@ -57,8 +96,8 @@ namespace {
 
 // Every count the pipeline sizes something by is at least 1.
 PipelineConfig normalized(PipelineConfig config) {
-  for (std::size_t* n : {&config.num_shards, &config.num_producers,
-                         &config.drain_batch, &config.batch_size}) {
+  for (std::size_t* n :
+       {&config.num_shards, &config.num_producers, &config.batch_size}) {
     if (*n == 0) *n = 1;
   }
   return config;
@@ -77,7 +116,7 @@ StreamPipeline::StreamPipeline(const dictionary::BlackholeDictionary& dictionary
       store_(config_.num_shards),
       workers_(dictionary, registry, config_.engine, config_.num_shards,
                config_.num_producers, config_.queue_capacity,
-               config_.drain_batch, config_.batch_size,
+               config_.batch_size,
                /*serialize_producers=*/config_.num_producers > 1, blocks_,
                store_, *metrics_) {
   producers_.reserve(config_.num_producers);

@@ -14,15 +14,19 @@
 // batch), parks each parsed update once in a pooled UpdateBlock, and
 // the router emits 16-byte SubUpdateRefs — (block, prefix index, kind)
 // — staged per shard and moved onto the owning shard's bounded queue
-// in batches of `batch_size` (blocking when full: backpressure, never
-// drops).  N workers pop in matching batches, run private engine
-// shards straight over the shared blocks via core::UpdateView (no
-// materialization), release the blocks back to the pool, and seal
-// their closed events into per-shard EventStore lanes — merged and
-// canonically ordered at finish().  In steady state the whole path
-// from push() to the engine performs zero heap allocations per
-// sub-update (bench/perf_stream asserts this with a counting
-// allocator).
+// in batches (blocking when full: backpressure, never drops).  N
+// workers pop in matching batches, run private engine shards straight
+// over the shared blocks via core::UpdateView (no materialization),
+// release the blocks back to the pool, and seal their closed events
+// into per-shard EventStore lanes — merged and canonically ordered at
+// finish().  In steady state the whole path from push() to the engine
+// performs zero heap allocations per sub-update (bench/perf_stream
+// asserts this with a counting allocator).
+//
+// Latency bound: both stages batch only while batching costs no
+// latency — staged refs wait at most Producer::kMaxStaging while pushes
+// continue (see push()), and a worker drains closed events whenever a
+// batch leaves its queue empty.  Under saturation batches stay full.
 //
 // MPMC stage: `num_producers > 1` gives each producer thread its own
 // Producer handle (router + staging buffers); shard submission then
@@ -40,6 +44,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 
@@ -58,13 +63,11 @@ struct PipelineConfig {
   std::size_t num_shards = 4;
   // Bounded per-shard queue; a full queue blocks the producer.
   std::size_t queue_capacity = 4096;
-  // Sub-updates a worker processes between event-store drains.
-  std::size_t drain_batch = 256;
-  // Sub-updates moved per queue transfer: a producer stages up to this
-  // many per shard before a push_batch, and workers pop up to this
+  // Most sub-updates moved per queue transfer: a producer stages up to
+  // this many per shard before a push_batch, and workers pop up to this
   // many per pop_batch — one index publish per chunk instead of per
-  // element.  1 restores per-element transfer (lowest latency, e.g.
-  // live alert feeds); flush() force-publishes the buffers at any time.
+  // element.  It bounds throughput batching only: staged refs are
+  // published after Producer::kMaxStaging whatever the batch holds.
   std::size_t batch_size = 64;
   // MPMC stage: number of concurrent producer threads (e.g. one per
   // collector platform).  Each must use its own producer() handle.
@@ -85,14 +88,22 @@ class StreamPipeline {
   // StreamPipeline::producer(i); never share a handle across threads.
   class Producer {
    public:
+    // The staging age bound of push(); batches under saturation fill
+    // far sooner.
+    static constexpr std::chrono::microseconds kMaxStaging{500};
+
     // Route one update.  Returns false — without routing or counting
     // the update — once the pipeline has finished; nothing is ever
     // silently dropped.  Routed sub-updates are staged per shard and
-    // handed to the workers `batch_size` at a time.
+    // handed to the workers when `batch_size` are staged, when the
+    // oldest has waited kMaxStaging, or at once when this push follows
+    // kMaxStaging of producer silence.  Ages come from the router's
+    // per-update clock reading.
     bool push(const routing::FeedUpdate& update);
 
     // Hand this producer's staged sub-updates to their shard queues
-    // now.  Bounds the detection latency of a slow feed.
+    // now.  Only a feed that stops in the middle of a burst needs it:
+    // staged refs age out on the next push, and without one they wait.
     void flush();
 
     // Original updates accepted via push() on this handle.
@@ -125,11 +136,23 @@ class StreamPipeline {
     // Hand one shard's staged batch to the workers, releasing any refs
     // a mid-shutdown rejection left with us.
     void submit_shard(std::size_t shard);
+    // Submit every shard whose oldest staged ref has waited kMaxStaging
+    // at `now_ns`, and re-arm publish_due_ns_ for the rest.
+    void publish_aged(std::uint64_t now_ns);
 
     StreamPipeline* owner_;
     ShardRouter router_;
     std::size_t batch_size_;
     std::vector<std::vector<SubUpdateRef>> pending_;
+    // Router clock reading at which each shard's oldest staged ref was
+    // staged; meaningful only while pending_[shard] is non-empty.
+    std::vector<std::uint64_t> staged_ns_;
+    // When publish_aged() is next due: the earliest staged_ns_ +
+    // kMaxStaging, early (never late) once a full batch went out;
+    // UINT64_MAX while nothing is staged.
+    std::uint64_t publish_due_ns_;
+    // Router clock reading of the previous push that routed anything.
+    std::uint64_t last_push_ns_ = 0;
     // Per-shard refs still to drop during recovery replay; empty when
     // not replaying, so the hot path pays one branch.
     std::vector<std::uint64_t> skip_;

@@ -55,36 +55,6 @@ class SpscQueue {
     instruments_ = instruments;
   }
 
-  // Blocks while the queue is full; returns false iff the queue was
-  // closed (the item is then not enqueued).  Producer thread only.
-  bool push(T item) {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    for (;;) {
-      if (closed_.load(std::memory_order_acquire)) return false;
-      if (tail - head_.load(std::memory_order_acquire) < capacity_) break;
-      std::unique_lock<std::mutex> lock(mu_);
-      producer_waiting_.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (closed_.load(std::memory_order_acquire) ||
-          tail - head_.load(std::memory_order_acquire) < capacity_) {
-        producer_waiting_.store(false, std::memory_order_relaxed);
-        if (closed_.load(std::memory_order_acquire)) return false;
-        break;
-      }
-      if (instruments_.producer_stalls) instruments_.producer_stalls->add();
-      not_full_.wait(lock);
-      producer_waiting_.store(false, std::memory_order_relaxed);
-    }
-    buf_[tail % capacity_] = std::move(item);
-    tail_.store(tail + 1, std::memory_order_release);
-    std::size_t occupancy = tail + 1 - head_.load(std::memory_order_acquire);
-    if (occupancy > peak_size_.load(std::memory_order_relaxed)) {
-      peak_size_.store(occupancy, std::memory_order_relaxed);
-    }
-    wake(consumer_waiting_, not_empty_, instruments_.consumer_wakes);
-    return true;
-  }
-
   // Batch push: moves items[0..n) into the ring in FIFO order, blocking
   // while full.  The tail index is published once per chunk of free
   // space (one release store + at most one wake per chunk) instead of
@@ -94,26 +64,14 @@ class SpscQueue {
   std::size_t push_batch(std::span<T> items) {
     std::size_t pushed = 0;
     std::size_t tail = tail_.load(std::memory_order_relaxed);
+    auto free = [&] {
+      return capacity_ - (tail - head_.load(std::memory_order_acquire));
+    };
     while (pushed < items.size()) {
-      std::size_t free = 0;
-      for (;;) {  // wait for space; same Dekker protocol as push()
-        if (closed_.load(std::memory_order_acquire)) return pushed;
-        free = capacity_ - (tail - head_.load(std::memory_order_acquire));
-        if (free > 0) break;
-        std::unique_lock<std::mutex> lock(mu_);
-        producer_waiting_.store(true, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        free = capacity_ - (tail - head_.load(std::memory_order_acquire));
-        if (closed_.load(std::memory_order_acquire) || free > 0) {
-          producer_waiting_.store(false, std::memory_order_relaxed);
-          if (closed_.load(std::memory_order_acquire)) return pushed;
-          break;
-        }
-        if (instruments_.producer_stalls) instruments_.producer_stalls->add();
-        not_full_.wait(lock);
-        producer_waiting_.store(false, std::memory_order_relaxed);
-      }
-      const std::size_t chunk = std::min(free, items.size() - pushed);
+      park(producer_waiting_, not_full_, instruments_.producer_stalls,
+           [&] { return free() > 0; }, std::nullopt);
+      if (closed()) return pushed;
+      const std::size_t chunk = std::min(free(), items.size() - pushed);
       for (std::size_t i = 0; i < chunk; ++i) {
         buf_[(tail + i) % capacity_] = std::move(items[pushed + i]);
       }
@@ -129,71 +87,12 @@ class SpscQueue {
     return pushed;
   }
 
-  // Blocks while the queue is empty; returns nullopt once the queue is
-  // closed AND fully drained.  Consumer thread only.
-  std::optional<T> pop() {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    for (;;) {
-      if (tail_.load(std::memory_order_acquire) != head) break;
-      if (closed_.load(std::memory_order_acquire)) {
-        if (tail_.load(std::memory_order_acquire) != head) break;
-        return std::nullopt;
-      }
-      std::unique_lock<std::mutex> lock(mu_);
-      consumer_waiting_.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      if (tail_.load(std::memory_order_acquire) != head ||
-          closed_.load(std::memory_order_acquire)) {
-        consumer_waiting_.store(false, std::memory_order_relaxed);
-        if (tail_.load(std::memory_order_acquire) != head) break;
-        return std::nullopt;
-      }
-      if (instruments_.consumer_stalls) instruments_.consumer_stalls->add();
-      not_empty_.wait(lock);
-      consumer_waiting_.store(false, std::memory_order_relaxed);
-    }
-    T item = std::move(buf_[head % capacity_]);
-    head_.store(head + 1, std::memory_order_release);
-    maybe_wake_producer(head + 1);
-    return item;
-  }
-
   // Batch pop: moves up to `max` immediately-available items into
   // `out` (appending) with a single head publish + at most one wake.
   // Blocks while the queue is empty; returns the number appended, 0
   // iff the queue is closed AND fully drained.  Consumer thread only.
   std::size_t pop_batch(std::vector<T>& out, std::size_t max) {
-    if (max == 0) return 0;
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    std::size_t avail = 0;
-    for (;;) {  // wait for data; same Dekker protocol as pop()
-      avail = tail_.load(std::memory_order_acquire) - head;
-      if (avail > 0) break;
-      if (closed_.load(std::memory_order_acquire)) {
-        avail = tail_.load(std::memory_order_acquire) - head;
-        if (avail > 0) break;
-        return 0;
-      }
-      std::unique_lock<std::mutex> lock(mu_);
-      consumer_waiting_.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      avail = tail_.load(std::memory_order_acquire) - head;
-      if (avail > 0 || closed_.load(std::memory_order_acquire)) {
-        consumer_waiting_.store(false, std::memory_order_relaxed);
-        if (avail > 0) break;
-        return 0;
-      }
-      if (instruments_.consumer_stalls) instruments_.consumer_stalls->add();
-      not_empty_.wait(lock);
-      consumer_waiting_.store(false, std::memory_order_relaxed);
-    }
-    const std::size_t chunk = std::min(avail, max);
-    for (std::size_t i = 0; i < chunk; ++i) {
-      out.push_back(std::move(buf_[(head + i) % capacity_]));
-    }
-    head_.store(head + chunk, std::memory_order_release);
-    maybe_wake_producer(head + chunk);
-    return chunk;
+    return pop_batch_within(out, max, std::nullopt);
   }
 
   // Timed batch pop: like pop_batch, but gives up after `timeout` when
@@ -205,42 +104,9 @@ class SpscQueue {
   template <typename Rep, typename Period>
   std::size_t pop_batch_for(std::vector<T>& out, std::size_t max,
                             std::chrono::duration<Rep, Period> timeout) {
-    if (max == 0) return 0;
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    std::size_t avail = 0;
-    for (;;) {  // wait for data; same Dekker protocol as pop_batch()
-      avail = tail_.load(std::memory_order_acquire) - head;
-      if (avail > 0) break;
-      if (closed_.load(std::memory_order_acquire)) {
-        avail = tail_.load(std::memory_order_acquire) - head;
-        if (avail > 0) break;
-        return 0;
-      }
-      std::unique_lock<std::mutex> lock(mu_);
-      consumer_waiting_.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      avail = tail_.load(std::memory_order_acquire) - head;
-      if (avail > 0 || closed_.load(std::memory_order_acquire)) {
-        consumer_waiting_.store(false, std::memory_order_relaxed);
-        if (avail > 0) break;
-        return 0;
-      }
-      if (instruments_.consumer_stalls) instruments_.consumer_stalls->add();
-      const auto status = not_empty_.wait_for(lock, timeout);
-      consumer_waiting_.store(false, std::memory_order_relaxed);
-      if (status == std::cv_status::timeout) {
-        avail = tail_.load(std::memory_order_acquire) - head;
-        if (avail > 0) break;
-        return 0;
-      }
-    }
-    const std::size_t chunk = std::min(avail, max);
-    for (std::size_t i = 0; i < chunk; ++i) {
-      out.push_back(std::move(buf_[(head + i) % capacity_]));
-    }
-    head_.store(head + chunk, std::memory_order_release);
-    maybe_wake_producer(head + chunk);
-    return chunk;
+    return pop_batch_within(
+        out, max,
+        std::chrono::duration_cast<std::chrono::nanoseconds>(timeout));
   }
 
   // End of stream: pending items remain poppable, further pushes fail.
@@ -269,6 +135,53 @@ class SpscQueue {
   }
 
  private:
+  // The one park loop of both sides (Dekker pattern, see the top of the
+  // file): returns at once while `ready()` holds or the queue is closed,
+  // else advertises `waiting`, re-checks behind a seq_cst fence and
+  // sleeps on `cv` — for at most `timeout` per sleep when one is given,
+  // returning on its expiry.  The caller re-reads the indices.
+  template <typename Ready>
+  void park(std::atomic<bool>& waiting, std::condition_variable& cv,
+            telemetry::Counter* stalls, Ready ready,
+            std::optional<std::chrono::nanoseconds> timeout) {
+    while (!ready() && !closed()) {
+      std::unique_lock<std::mutex> lock(mu_);
+      waiting.store(true, std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_seq_cst);
+      if (ready() || closed()) {
+        waiting.store(false, std::memory_order_relaxed);
+        return;
+      }
+      if (stalls) stalls->add();
+      bool timed_out = false;
+      if (timeout) {
+        timed_out = cv.wait_for(lock, *timeout) == std::cv_status::timeout;
+      } else {
+        cv.wait(lock);
+      }
+      waiting.store(false, std::memory_order_relaxed);
+      if (timed_out) return;
+    }
+  }
+
+  std::size_t pop_batch_within(
+      std::vector<T>& out, std::size_t max,
+      std::optional<std::chrono::nanoseconds> timeout) {
+    if (max == 0) return 0;
+    const std::size_t head = head_.load(std::memory_order_relaxed);
+    auto avail = [&] { return tail_.load(std::memory_order_acquire) - head; };
+    park(consumer_waiting_, not_empty_, instruments_.consumer_stalls,
+         [&] { return avail() > 0; }, timeout);
+    const std::size_t chunk = std::min(avail(), max);
+    if (chunk == 0) return 0;  // closed and drained, or timed out
+    for (std::size_t i = 0; i < chunk; ++i) {
+      out.push_back(std::move(buf_[(head + i) % capacity_]));
+    }
+    head_.store(head + chunk, std::memory_order_release);
+    maybe_wake_producer(head + chunk);
+    return chunk;
+  }
+
   // Notify the peer only if it advertised that it may be parked.  The
   // fence pairs with the one the parking side executes between setting
   // its flag and re-checking the indices.  exchange() claims the wake:

@@ -8,13 +8,11 @@ WorkerPool::WorkerPool(const dictionary::BlackholeDictionary& dictionary,
                        const topology::Registry& registry,
                        core::EngineConfig engine_config,
                        std::size_t num_shards, std::size_t num_producers,
-                       std::size_t queue_capacity, std::size_t drain_batch,
-                       std::size_t batch_size, bool serialize_producers,
-                       BlockPool& blocks, EventStore& store,
-                       telemetry::MetricsRegistry& metrics)
+                       std::size_t queue_capacity, std::size_t batch_size,
+                       bool serialize_producers, BlockPool& blocks,
+                       EventStore& store, telemetry::MetricsRegistry& metrics)
     : compiled_(dictionary),
       num_producers_(num_producers),
-      drain_batch_(drain_batch),
       batch_size_(batch_size),
       serialize_producers_(serialize_producers),
       blocks_(blocks),
@@ -103,6 +101,8 @@ void WorkerPool::worker_loop(Shard& shard) {
   // tick its heartbeat and notice checkpoint capture requests.  Never
   // reached while traffic flows (the queue wakes the worker directly).
   constexpr auto kIdlePoll = std::chrono::milliseconds(5);
+  // Most sub-updates between drains while the queue never runs dry.
+  constexpr std::size_t kDrainBatch = 256;
   std::size_t since_drain = 0;
   std::vector<SubUpdateRef> batch;
   batch.reserve(batch_size_);
@@ -119,7 +119,9 @@ void WorkerPool::worker_loop(Shard& shard) {
     batch.clear();
     std::size_t n = shard.queue->pop_batch_for(batch, batch_size_, kIdlePoll);
     if (n == 0) {
-      if (!shard.queue->closed()) continue;  // idle timeout
+      // Idle timeout.  Nothing waits to be drained: the batch before it
+      // left the queue empty, so it drained.
+      if (!shard.queue->closed()) continue;
       // Closed: grab any remainder racing the close, then exit.
       n = shard.queue->pop_batch(batch, batch_size_);
       if (n == 0) break;
@@ -149,7 +151,9 @@ void WorkerPool::worker_loop(Shard& shard) {
                            std::memory_order_relaxed);
     shard.processed.fetch_add(batch.size(), std::memory_order_relaxed);
     since_drain += batch.size();
-    if (since_drain >= drain_batch_) {
+    // Batch drains only while that costs no latency: once a batch leaves
+    // the queue empty, no later sub-update is there to share the drain.
+    if (since_drain >= kDrainBatch || shard.queue->size() == 0) {
       telemetry::ScopedSpan drain_span(shard.drain_hist, trace_,
                                        "worker.drain", shard.index);
       drain_into_store(shard);
@@ -189,7 +193,9 @@ void WorkerPool::capture_rendezvous(Shard& shard) {
   slot.watermarks = shard.watermarks;
   ++arrived_;
   rendezvous_cv_.notify_all();
-  rendezvous_cv_.wait(lock, [&] { return released_ || shutdown_; });
+  const std::uint64_t epoch = release_epoch_;
+  rendezvous_cv_.wait(
+      lock, [&] { return release_epoch_ != epoch || shutdown_; });
 }
 
 bool WorkerPool::capture(const std::function<void()>& while_quiesced,
@@ -212,7 +218,6 @@ bool WorkerPool::capture(const std::function<void()>& while_quiesced,
   if (shutdown_) return false;
   capture_active_ = true;
   arrived_ = 0;
-  released_ = false;
   capture_requested_.store(true, std::memory_order_release);
   rendezvous_cv_.wait(
       lock, [&] { return arrived_ == shards_.size() || shutdown_; });
@@ -224,7 +229,7 @@ bool WorkerPool::capture(const std::function<void()>& while_quiesced,
   }
   capture_active_ = false;
   capture_requested_.store(false, std::memory_order_release);
-  released_ = true;
+  ++release_epoch_;
   rendezvous_cv_.notify_all();
   return ok;
 }

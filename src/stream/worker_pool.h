@@ -15,11 +15,13 @@
 // is amortized by batch_size, and the SPSC queue invariants still hold
 // (the mutex orders the producer-side index accesses).
 //
-// Workers seal their engine's closed events every `drain_batch`
-// processed sub-updates (and once more on exit) and hand the chunk to
-// the shard's own EventStore lane — no shared store mutex on the hot
-// path — and publish a per-shard open-event gauge after every batch
-// for live snapshots.
+// Workers seal their engine's closed events whenever a consume batch
+// leaves their queue empty — so a closed event never waits for more
+// traffic — and at least every kDrainBatch sub-updates under
+// saturation (and once more on exit).  The chunk goes to the shard's
+// own EventStore lane — no shared store mutex on the hot path — and a
+// per-shard open-event gauge is published after every batch for live
+// snapshots.
 #pragma once
 
 #include <atomic>
@@ -66,8 +68,8 @@ class WorkerPool {
              const topology::Registry& registry,
              core::EngineConfig engine_config, std::size_t num_shards,
              std::size_t num_producers, std::size_t queue_capacity,
-             std::size_t drain_batch, std::size_t batch_size,
-             bool serialize_producers, BlockPool& blocks, EventStore& store,
+             std::size_t batch_size, bool serialize_producers,
+             BlockPool& blocks, EventStore& store,
              telemetry::MetricsRegistry& metrics);
   ~WorkerPool();
 
@@ -176,7 +178,6 @@ class WorkerPool {
   dictionary::CompiledDictionary compiled_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t num_producers_;
-  std::size_t drain_batch_;
   std::size_t batch_size_;
   bool serialize_producers_;
   BlockPool& blocks_;
@@ -194,7 +195,10 @@ class WorkerPool {
   std::vector<ShardCapture> capture_slots_;
   std::size_t arrived_ = 0;
   bool capture_active_ = false;
-  bool released_ = false;
+  // Bumped as each capture releases its workers.  A worker waits for
+  // the number to move past the one it arrived under, so a capture
+  // starting before it woke cannot hold it again.
+  std::uint64_t release_epoch_ = 0;
   bool shutdown_ = false;
   std::atomic<bool> capture_requested_{false};
 };

@@ -66,7 +66,6 @@ int main(int argc, char** argv) {
   config.num_shards = shards;
   config.num_producers = producers;
   config.queue_capacity = 64;
-  config.drain_batch = 32;
   config.persist_dir = dir;
   config.recover = true;
   config.checkpoint_every = checkpoint_every;

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -257,7 +258,6 @@ std::unique_ptr<AnalysisSession> run_live(std::size_t shards,
   base.num_shards = shards;
   base.num_producers = producers;
   base.queue_capacity = 64;  // small bound: exercises backpressure
-  base.drain_batch = 32;
   auto session = std::make_unique<AnalysisSession>(base);
   if (sink) session->subscribe(*sink);
   auto updates = session->study().replay_updates();
@@ -350,7 +350,6 @@ TEST(AnalysisSession, NoDropUnderBackpressureAndPerKeyDeliveryOrder) {
   const auto& ref = reference();
   SessionConfig config;
   config.sink_queue_chunks = 2;  // force dispatch backpressure
-  config.drain_batch = 8;        // many small chunks
   SlowRecordingSink sink;
   auto session = run_live(3, 1, &sink, config);
 
@@ -372,6 +371,81 @@ TEST(AnalysisSession, NoDropUnderBackpressureAndPerKeyDeliveryOrder) {
     }
     last[key] = e.end;
   }
+}
+
+// ---- detection latency ------------------------------------------------
+
+// Counts closed events atomically, so the test may poll while the
+// dispatcher delivers.
+class PolledSink : public EventSink {
+ public:
+  void on_event_closed(const PeerEvent&) override { events_.fetch_add(1); }
+  std::size_t events() const { return events_.load(); }
+
+ private:
+  std::atomic<std::size_t> events_{0};
+};
+
+// A live monitor sees an event close without flush() or close(): the
+// closing withdrawal is neither held in a producer's staging buffer
+// until a batch fills nor held by its worker until a drain is due.
+TEST(AnalysisSession, ClosedEventReachesSinkWithoutFlush) {
+  const auto& ref = reference();
+  const auto updates = ref.study->replay_updates();
+  // An event of its own (peer, prefix, start): one detection, so one
+  // closed event.  Its opening announcement comes from the replay.
+  auto detections = [&](const PeerEvent& e) {
+    return std::count_if(
+        ref.events.begin(), ref.events.end(), [&](const PeerEvent& o) {
+          return o.peer == e.peer && o.prefix == e.prefix && o.start == e.start;
+        });
+  };
+  FeedUpdate open, close;
+  for (const PeerEvent& e : ref.events) {
+    if (e.started_in_table_dump || detections(e) != 1) continue;
+    auto opens = [&](const FeedUpdate& u) {
+      const auto& a = u.update.body.announced;
+      return u.platform == e.platform && u.update.time == e.start &&
+             bgp::PeerKey{u.update.peer_ip, u.update.peer_asn} == e.peer &&
+             std::find(a.begin(), a.end(), e.prefix) != a.end();
+    };
+    auto it = std::find_if(updates.begin(), updates.end(), opens);
+    if (it == updates.end()) continue;
+    open = *it;
+    open.update.body.announced = {e.prefix};
+    open.update.body.withdrawn.clear();
+    close.platform = open.platform;
+    close.update.time = e.start + 60;
+    close.update.peer_ip = open.update.peer_ip;
+    close.update.peer_asn = open.update.peer_asn;
+    close.update.body.withdrawn = {e.prefix};
+    break;
+  }
+  ASSERT_FALSE(close.update.body.withdrawn.empty());
+
+  SessionConfig config;
+  config.mode = SessionConfig::Mode::kLiveFeed;
+  config.study = study_config();
+  config.study.table_dump_episodes = 0;  // the key starts without state
+  AnalysisSession session(config);
+  PolledSink sink;
+  session.subscribe(sink);
+  ASSERT_TRUE(session.push(open));
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  ASSERT_TRUE(session.push(close));
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (sink.events() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(sink.events(), 1u);
+  const auto snap = session.telemetry().snapshot();
+  const auto* detect = snap.find("e2e.detect_latency_ns");
+  ASSERT_NE(detect, nullptr);
+  EXPECT_EQ(detect->hist.count, 1u);
+  session.close(config.study.window_end);
+  EXPECT_EQ(sink.events(), 1u);
 }
 
 // ---- persistence: the segment-log equivalence grid --------------------

@@ -699,7 +699,6 @@ TEST(FaultEquivalenceGrid, RecoverableSchedulesAreByteIdenticalToFaultFree) {
       config.num_shards = shards;
       config.num_producers = producers;
       config.queue_capacity = 64;
-      config.drain_batch = 32;
       config.persist_dir = dir;
       config.segment.file_ops = &faulty_ops;
       config.spill_retry = fast_policy(2);
@@ -873,7 +872,6 @@ TEST(SessionHealth, ShedSinkPlaneReportsDegradedDispatch) {
   config.study = study_config();
   config.num_shards = 2;
   config.sink_queue_chunks = 1;
-  config.drain_batch = 8;
   config.sink_overload = api::OverloadPolicy::kShed;
   config.sink_shed_deadline = milliseconds(2);
   api::AnalysisSession session(config);

@@ -13,8 +13,10 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <random>
 #include <set>
+#include <span>
 #include <thread>
 #include <tuple>
 
@@ -32,18 +34,29 @@ using routing::Platform;
 
 // ---- SpscQueue --------------------------------------------------------
 
+// One item through the batch API.
+bool push_one(SpscQueue<int>& q, int item) {
+  return q.push_batch(std::span<int>(&item, 1)) == 1;
+}
+
+// One item, or nullopt once the queue is closed and drained.
+std::optional<int> pop_one(SpscQueue<int>& q) {
+  std::vector<int> out;
+  if (q.pop_batch(out, 1) == 0) return std::nullopt;
+  return out[0];
+}
+
 TEST(SpscQueue, FifoOrderAndCloseSemantics) {
   SpscQueue<int> q(8);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  EXPECT_TRUE(q.push(3));
+  std::vector<int> items{1, 2, 3};
+  EXPECT_EQ(q.push_batch(items), 3u);
   EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
+  EXPECT_EQ(pop_one(q), 1);
+  EXPECT_EQ(pop_one(q), 2);
   q.close();
-  EXPECT_FALSE(q.push(4));     // rejected after close...
-  EXPECT_EQ(q.pop(), 3);       // ...but the backlog still drains
-  EXPECT_EQ(q.pop(), std::nullopt);
+  EXPECT_FALSE(push_one(q, 4));  // rejected after close...
+  EXPECT_EQ(pop_one(q), 3);      // ...but the backlog still drains
+  EXPECT_EQ(pop_one(q), std::nullopt);
 }
 
 TEST(SpscQueue, BackpressureBlocksProducerInsteadOfDropping) {
@@ -53,7 +66,7 @@ TEST(SpscQueue, BackpressureBlocksProducerInsteadOfDropping) {
   std::atomic<int> pushed{0};
   std::thread producer([&] {
     for (int i = 0; i < kTotal; ++i) {
-      EXPECT_TRUE(q.push(i));
+      EXPECT_TRUE(push_one(q, i));
       pushed.fetch_add(1);
     }
   });
@@ -64,10 +77,8 @@ TEST(SpscQueue, BackpressureBlocksProducerInsteadOfDropping) {
   EXPECT_LE(pushed.load(), static_cast<int>(kCapacity));
 
   std::vector<int> got;
-  for (int i = 0; i < kTotal; ++i) {
-    auto v = q.pop();
-    ASSERT_TRUE(v.has_value());
-    got.push_back(*v);
+  while (got.size() < static_cast<std::size_t>(kTotal)) {
+    ASSERT_GT(q.pop_batch(got, 3), 0u);
   }
   producer.join();
   EXPECT_EQ(pushed.load(), kTotal);           // nothing dropped
@@ -75,20 +86,22 @@ TEST(SpscQueue, BackpressureBlocksProducerInsteadOfDropping) {
   for (int i = 0; i < kTotal; ++i) EXPECT_EQ(got[i], i);  // FIFO
 }
 
-TEST(SpscQueue, BatchAndSinglePushPopInterleave) {
+TEST(SpscQueue, BatchPushPopSizesInterleave) {
   SpscQueue<int> q(16);
   std::vector<int> first{0, 1, 2};
   EXPECT_EQ(q.push_batch(first), 3u);
-  EXPECT_TRUE(q.push(3));
+  EXPECT_TRUE(push_one(q, 3));
   std::vector<int> second{4, 5};
   EXPECT_EQ(q.push_batch(second), 2u);
 
-  EXPECT_EQ(q.pop(), 0);  // single pop sees batch-pushed items in order
+  EXPECT_EQ(pop_one(q), 0);  // a one-item pop sees batch-pushed items
   std::vector<int> got;
   EXPECT_EQ(q.pop_batch(got, 3), 3u);
   EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(q.pop_batch(got, 100), 2u);  // appends; takes what's there
   EXPECT_EQ(got, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(q.pop_batch_for(got, 8, std::chrono::milliseconds(1)), 0u);
+  EXPECT_FALSE(q.closed());  // a timeout, not the end of the stream
   q.close();
   EXPECT_EQ(q.pop_batch(got, 8), 0u);  // closed and drained
 }
@@ -108,8 +121,10 @@ TEST(SpscQueue, PushBatchBlocksWhenFullAndStopsAtClose) {
   q.close();
   producer.join();
   EXPECT_EQ(accepted, kCapacity);  // partial batch reported, not lost
-  for (int i = 0; i < static_cast<int>(kCapacity); ++i) EXPECT_EQ(q.pop(), i);
-  EXPECT_EQ(q.pop(), std::nullopt);
+  for (int i = 0; i < static_cast<int>(kCapacity); ++i) {
+    EXPECT_EQ(pop_one(q), i);
+  }
+  EXPECT_EQ(pop_one(q), std::nullopt);
 }
 
 TEST(SpscQueue, PopBatchBlocksUntilCloseWhenEmpty) {
@@ -132,36 +147,27 @@ TEST(SpscQueue, BatchFifoOrderUnderProducerConsumerStress) {
     int next = 0;
     std::size_t batch_size = 1;
     while (next < kTotal) {
-      // Mix batch pushes of cycling sizes with single pushes.
-      if (batch_size % 5 == 0) {
-        q.push(next++);
-      } else {
-        batch.clear();
-        for (std::size_t i = 0; i < batch_size && next < kTotal; ++i) {
-          batch.push_back(next++);
-        }
-        EXPECT_EQ(q.push_batch(batch), batch.size());
+      // Batch pushes of cycling sizes, some larger than the ring.
+      batch.clear();
+      for (std::size_t i = 0; i < batch_size && next < kTotal; ++i) {
+        batch.push_back(next++);
       }
-      batch_size = batch_size % 11 + 1;
+      EXPECT_EQ(q.push_batch(batch), batch.size());
+      batch_size = batch_size % 41 + 1;
     }
     q.close();
   });
 
   std::vector<int> got;
   got.reserve(kTotal);
-  std::vector<int> chunk;
   std::size_t max = 1;
   for (;;) {
-    // Mix batch pops of cycling sizes with single pops.
-    if (max % 7 == 0) {
-      auto v = q.pop();
-      if (!v) break;
-      got.push_back(*v);
-    } else {
-      chunk.clear();
-      if (q.pop_batch(chunk, max) == 0) break;
-      got.insert(got.end(), chunk.begin(), chunk.end());
-    }
+    // Batch pops of cycling sizes; every seventh one timed.
+    const std::size_t n =
+        max % 7 == 0
+            ? q.pop_batch_for(got, max, std::chrono::microseconds(50))
+            : q.pop_batch(got, max);
+    if (n == 0 && q.closed() && q.size() == 0) break;
     max = max % 13 + 1;
   }
   producer.join();
@@ -294,21 +300,25 @@ TEST(ShardRouter, SharedSplitOrderShardsAndIngestStamp) {
     ADD_FAILURE() << "empty update emitted a sub-update";
   });
 
-  // A pre-stamped update keeps its stamp in the block...
+  // A pre-stamped update keeps its stamp in the block, while the
+  // router's own clock reading stays this process's...
   fu.ingest_ns = 0x0123456789ABCDEFull;
-  EXPECT_EQ(ingest_stamp(fu), fu.ingest_ns);
+  EXPECT_EQ(ingest_stamp(fu, 42), fu.ingest_ns);
+  const std::uint64_t before = util::wall_clock_ns();
   router.route(fu, collect);
   ASSERT_EQ(refs.size(), 5u);
   EXPECT_EQ(refs[0].block->update.ingest_ns, 0x0123456789ABCDEFull);
+  EXPECT_GE(router.clock_ns(), before);
+  EXPECT_LE(router.clock_ns(), util::wall_clock_ns());
   for (const SubUpdateRef& ref : refs) pool.release(ref.block);
   refs.clear();
 
-  // ...and an unstamped one is stamped from the wall clock.
+  // ...and an unstamped one is stamped with that reading.
   fu.ingest_ns = 0;
-  EXPECT_NE(ingest_stamp(fu), 0u);
+  EXPECT_EQ(ingest_stamp(fu, 42), 42u);
   router.route(fu, collect);
   ASSERT_EQ(refs.size(), 5u);
-  EXPECT_NE(refs[0].block->update.ingest_ns, 0u);
+  EXPECT_EQ(refs[0].block->update.ingest_ns, router.clock_ns());
   for (const SubUpdateRef& ref : refs) pool.release(ref.block);
   EXPECT_EQ(router.updates_routed(), 3u);
   router.release_cached_blocks();
@@ -526,6 +536,10 @@ struct PipelineRunOptions {
   std::size_t shards = 4;
   std::size_t batch_size = 64;
   std::size_t producers = 1;
+  // Every this many pushes a producer sleeps past kMaxStaging, so its
+  // staged refs go out by age and the next push follows a quiet gap.
+  // 0 = never.
+  std::size_t pause_every = 0;
 };
 
 // Runs the fixture stream through a pipeline.  With several producers,
@@ -539,14 +553,13 @@ std::vector<PeerEvent> pipeline_events_opt(const PipelineRunOptions& opt,
   PipelineConfig config;
   config.num_shards = opt.shards;
   config.queue_capacity = 64;  // small bound: exercises backpressure
-  config.drain_batch = 32;
   config.batch_size = opt.batch_size;
   config.num_producers = opt.producers;
   StreamPipeline pipeline(f.study->dictionary(), f.study->registry(), config);
   if (auto dump = f.study->initial_table_dump()) {
     pipeline.init_from_table_dump(Platform::kRis, *dump);
   }
-  if (opt.producers <= 1) {
+  if (opt.producers <= 1 && opt.pause_every == 0) {
     VectorSource source(f.updates);
     pipeline.run(source);
   } else {
@@ -558,9 +571,15 @@ std::vector<PeerEvent> pipeline_events_opt(const PipelineRunOptions& opt,
     std::vector<std::thread> threads;
     threads.reserve(opt.producers);
     for (std::size_t p = 0; p < opt.producers; ++p) {
-      threads.emplace_back([&pipeline, &parts, p] {
+      threads.emplace_back([&pipeline, &parts, &opt, p] {
         auto& producer = pipeline.producer(p);
-        for (const auto& u : parts[p]) producer.push(u);
+        for (std::size_t i = 0; i < parts[p].size(); ++i) {
+          if (opt.pause_every != 0 && i % opt.pause_every == 0) {
+            std::this_thread::sleep_for(
+                StreamPipeline::Producer::kMaxStaging * 6 / 5);
+          }
+          producer.push(parts[p][i]);
+        }
         producer.flush();
       });
     }
@@ -624,6 +643,15 @@ TEST(StreamPipeline, EquivalenceAcrossShardsBatchesProducers) {
       }
     }
   }
+  // Paced producers: refs go out by age and after quiet gaps, not only
+  // in full batches.
+  for (std::size_t producers : {1u, 3u}) {
+    EngineStats stats;
+    auto events = pipeline_events_opt(
+        {.shards = 3, .producers = producers, .pause_every = 7}, &stats);
+    EXPECT_TRUE(events == seq) << "paced, producers=" << producers;
+    EXPECT_EQ(stats, seq_stats) << "paced, producers=" << producers;
+  }
 }
 
 // Randomized flush stress: interleave push()/flush() at random points
@@ -638,7 +666,6 @@ TEST(StreamPipeline, RandomizedFlushStressWithConcurrentSnapshots) {
   PipelineConfig config;
   config.num_shards = 3;
   config.queue_capacity = 64;
-  config.drain_batch = 8;    // frequent sealed chunks
   config.batch_size = 16;
   StreamPipeline pipeline(f.study->dictionary(), f.study->registry(), config);
   if (auto dump = f.study->initial_table_dump()) {
@@ -719,6 +746,39 @@ TEST(StreamPipeline, StoreSnapshotConsistentAfterFinish) {
   // After finish() the pipeline rejects — and does not count — pushes.
   EXPECT_FALSE(pipeline.push(f.updates.front()));
   EXPECT_EQ(pipeline.updates_pushed(), f.updates.size());
+}
+
+// Two threads cut checkpoints back to back (a cadence cut racing an
+// explicit one).  A worker released by one cut may not have woken yet
+// when the next cut starts; it must still leave the first rendezvous
+// and arrive at the second.
+TEST(StreamPipeline, BackToBackCapturesReleaseEveryWorker) {
+  auto& f = fixture();
+  PipelineConfig config;
+  config.num_shards = 4;
+  StreamPipeline pipeline(f.study->dictionary(), f.study->registry(), config);
+  pipeline.start();
+  constexpr int kCuts = 100;
+  std::atomic<int> captures{0};
+  auto cut = [&] {
+    std::vector<ShardCapture> out;
+    for (int i = 0; i < kCuts; ++i) {
+      if (pipeline.capture({}, out)) captures.fetch_add(1);
+    }
+  };
+  std::thread a(cut), b(cut);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (captures.load() < 2 * kCuts &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(captures.load(), 2 * kCuts);
+  // Shutdown aborts any capture still waiting, so a stranded worker
+  // fails the test instead of hanging it.
+  pipeline.finish(f.config.window_end);
+  a.join();
+  b.join();
 }
 
 // ---- FleetSource ------------------------------------------------------

@@ -670,7 +670,7 @@ int main(int argc, char** argv) {
     fabric_session.close(config.window_end);
     bool fabric_identical = migrated && fabric_session.events() == ref_events;
     // End-to-end detection latency THROUGH THE FABRIC: each update was
-    // wall-clock-stamped at push(), carried across the wire in the v2
+    // wall-clock-stamped at push(), carried across the wire in the
     // sub-update trailer, and the slot sessions recorded ingest→close
     // into their e2e.detect_latency_ns histograms.  fleet_telemetry()
     // folds those bucket-exactly across every slot of both servers.

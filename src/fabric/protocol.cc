@@ -12,17 +12,17 @@ void encode_sub_update(const routing::FeedUpdate& fu, net::BufWriter& out) {
   out.u32(fu.update.peer_asn);
   out.u32(fu.update.collector_id);
   // The UPDATE body codec treats "rest of input" as NLRI, so it needs
-  // an explicit length prefix to know where this sub-update ends.
-  net::BufWriter body;
-  bgp::encode_update_body(fu.update.body, body);
-  out.u32(static_cast<std::uint32_t>(body.size()));
-  out.bytes(body.data());
-  // v2 trailer; v1 lanes chop these bytes off at send time.
+  // an explicit length prefix to know where this sub-update ends: the
+  // body is encoded in place behind a placeholder that is patched after.
+  const std::size_t len_pos = out.size();
+  out.u32(0);
+  bgp::encode_update_body(fu.update.body, out);
+  out.patch_u32(len_pos,
+                static_cast<std::uint32_t>(out.size() - len_pos - 4));
   out.u64(fu.ingest_ns);
 }
 
-std::optional<routing::FeedUpdate> decode_sub_update(net::BufReader& in,
-                                                     std::uint8_t version) {
+std::optional<routing::FeedUpdate> decode_sub_update(net::BufReader& in) {
   routing::FeedUpdate fu;
   std::uint8_t platform = in.u8();
   if (platform >= routing::kNumPlatforms) return std::nullopt;
@@ -39,11 +39,37 @@ std::optional<routing::FeedUpdate> decode_sub_update(net::BufReader& in,
   auto decoded = bgp::decode_update_body(body);
   if (!decoded || !body.ok() || !body.at_end()) return std::nullopt;
   fu.update.body = std::move(*decoded);
-  if (version >= 2) {
-    fu.ingest_ns = in.u64();
-    if (!in.ok()) return std::nullopt;
-  }
+  fu.ingest_ns = in.u64();
+  if (!in.ok()) return std::nullopt;
   return fu;
+}
+
+namespace {
+
+void patch_u64(net::BufWriter& w, std::size_t pos, std::uint64_t v) {
+  w.patch_u32(pos, static_cast<std::uint32_t>(v >> 32));
+  w.patch_u32(pos + 4, static_cast<std::uint32_t>(v));
+}
+
+}  // namespace
+
+void begin_append(net::BufWriter& out, std::uint32_t slot,
+                  std::uint32_t producer) {
+  out.u32(slot);
+  out.u32(producer);
+  out.u64(0);  // trace_id
+  out.u64(0);  // origin_ns
+  out.u64(0);  // base
+  out.u32(0);  // count
+}
+
+void seal_append(net::BufWriter& body, std::uint64_t trace_id,
+                 std::uint64_t origin_ns, std::uint64_t base,
+                 std::uint32_t count) {
+  patch_u64(body, 8, trace_id);
+  patch_u64(body, 16, origin_ns);
+  patch_u64(body, 24, base);
+  body.patch_u32(32, count);
 }
 
 void encode_files(const std::vector<HandoffFile>& files, net::BufWriter& out) {

@@ -15,10 +15,10 @@
 // (storage::encode_event_payload) — so what crosses the socket is
 // byte-identical to what a shard spills to its segment log.
 //
-// Version negotiation: each HELLO advertises the sender's readable
-// [min, max] frame-version range; the server answers with
-// storage::wire::negotiate_version's pick (the highest common version)
-// or an ERROR frame when the ranges are disjoint.
+// One wire version: the client and the server are built from the same
+// tree, so every frame carries kFabricVersion.  HELLO still advertises
+// a [min, max] range, and the server answers a range that excludes
+// kFabricVersion with an ERROR frame and drops the connection.
 #pragma once
 
 #include <cstdint>
@@ -32,17 +32,10 @@
 namespace bgpbh::fabric {
 
 inline constexpr std::uint16_t kFabricMagic = 0xFAB1;
-inline constexpr std::uint8_t kFabricVersionMin = 1;
-// v2 (fleet observability): APPEND/QUERY/CHECKPOINT bodies gain a
-// trace-context header (u64 trace_id | u64 origin_ns), sub-updates
-// gain a trailing u64 ingest stamp, and the STATS/STATS_ACK frames
-// exist.  Body layouts are governed by the HELLO-negotiated session
-// version; a v2 peer talking to a v1 peer emits v1 bodies.
-inline constexpr std::uint8_t kFabricVersionMax = 2;
-// Byte length of the v2 sub-update ingest trailer: subs are staged and
-// replay-buffered in v2 form, and a lane that negotiated v1 truncates
-// this many bytes off each sub at send time.
-inline constexpr std::size_t kSubUpdateIngestTrailerBytes = 8;
+// APPEND/QUERY/CHECKPOINT bodies carry a trace-context header
+// (u64 trace_id | u64 origin_ns), and every sub-update a trailing u64
+// ingest stamp.
+inline constexpr std::uint8_t kFabricVersion = 2;
 // HANDOFF ships whole checkpoint + segment files in one frame; records
 // are ~66 B each, so this comfortably covers a shard's working set.
 inline constexpr std::uint32_t kMaxFabricPayload = 64u << 20;
@@ -54,11 +47,12 @@ inline constexpr std::uint32_t kControlLane = 0xFFFFFFFFu;
 enum class FrameType : std::uint8_t {
   kHello = 1,        // u8 min_ver | u8 max_ver | u32 slot | u32 producer
   kHelloAck,         // u8 version | u64 accepted (sub-updates, data lanes)
-  kAppend,           // u32 slot | u32 producer | u64 base | u32 n | n subs
+  kAppend,           // u32 slot | u32 producer | u64 trace_id |
+                     //   u64 origin_ns | u64 base | u32 n | n subs
   kAppendAck,        // u64 accepted_total | u64 durable_total
-  kQuery,            // u32 slot
+  kQuery,            // u32 slot | u64 trace_id | u64 origin_ns
   kQueryResult,      // u32 n | n event payloads (each u32-length-prefixed)
-  kCheckpoint,       // u32 slot
+  kCheckpoint,       // u32 slot | u64 trace_id | u64 origin_ns
   kCheckpointAck,    // u8 ok | u32 p | p x u64 durable
   kClose,            // u32 slot | u64 end_time
   kCloseAck,         // (empty)
@@ -73,7 +67,6 @@ enum class FrameType : std::uint8_t {
   kShutdown,         // (empty)
   kShutdownAck,      // (empty)
   kError,            // utf-8 message (rest of payload)
-  // v2+ only (fleet observability):
   kStats,            // u64 trace_id | u64 origin_ns | u32 max_spans
   kStatsAck,         // u32 n_slots | n x slot telemetry
                      //   (telemetry::encode_slot_telemetry)
@@ -85,12 +78,20 @@ enum class FrameType : std::uint8_t {
 // reuses the BGP UPDATE codec, so path attributes round-trip through
 // the same fuzz-hardened decoder the MRT replay path uses.
 //
-// encode_sub_update always emits the v2 layout (trailing u64 ingest
-// stamp); v1 senders truncate kSubUpdateIngestTrailerBytes at send
-// time.  decode_sub_update reads the trailer iff `version` >= 2.
+// Layout: u8 platform | u64 time | ip peer | u32 peer_asn |
+// u32 collector_id | u32 body_len | UPDATE body | u64 ingest_ns.
 void encode_sub_update(const routing::FeedUpdate& fu, net::BufWriter& out);
-std::optional<routing::FeedUpdate> decode_sub_update(
-    net::BufReader& in, std::uint8_t version = kFabricVersionMax);
+std::optional<routing::FeedUpdate> decode_sub_update(net::BufReader& in);
+
+// ---- APPEND body ------------------------------------------------------
+// A lane stages sub-updates behind a zeroed kAppend header
+// (begin_append) and fills it in place when it cuts the frame
+// (seal_append).  A resent frame is resealed with a fresh trace context.
+void begin_append(net::BufWriter& out, std::uint32_t slot,
+                  std::uint32_t producer);
+void seal_append(net::BufWriter& body, std::uint64_t trace_id,
+                 std::uint64_t origin_ns, std::uint64_t base,
+                 std::uint32_t count);
 
 // ---- handoff file set -------------------------------------------------
 // The shard-migration payload: every file of a quiesced slot's

@@ -9,6 +9,7 @@
 #include "bgp/rib.h"
 #include "storage/record_codec.h"
 #include "storage/wire.h"
+#include "stream/pipeline.h"
 #include "stream/shard_router.h"
 
 namespace bgpbh::fabric {
@@ -17,6 +18,38 @@ namespace {
 
 std::string describe_endpoint(const FabricEndpoint& ep) {
   return ep.host + ":" + std::to_string(ep.port);
+}
+
+constexpr std::uint64_t kMaxStagingNs = static_cast<std::uint64_t>(
+    std::chrono::nanoseconds(stream::StreamPipeline::Producer::kMaxStaging)
+        .count());
+
+// HELLO handshake on a fresh connection: the server's accepted count
+// for the lane (0 on a control lane), or nullopt on failure or refusal.
+std::optional<std::uint64_t> hello(TcpConn& conn, std::uint32_t slot,
+                                   std::uint32_t producer) {
+  net::BufWriter w;
+  w.u8(kFabricVersion);  // readable range [min, max]
+  w.u8(kFabricVersion);
+  w.u32(slot);
+  w.u32(producer);
+  if (!conn.send_frame(FrameType::kHello, w.data())) return std::nullopt;
+  auto ack = conn.recv_frame();
+  if (!ack || ack->type != FrameType::kHelloAck) return std::nullopt;
+  net::BufReader r(ack->body);
+  const std::uint8_t version = r.u8();
+  const std::uint64_t accepted = r.u64();
+  if (!r.ok() || version != kFabricVersion) return std::nullopt;
+  return accepted;
+}
+
+// Parses one kAppendAck body; false on malformed input.
+bool parse_append_ack(std::span<const std::uint8_t> body,
+                      std::uint64_t& accepted, std::uint64_t& durable) {
+  net::BufReader r(body);
+  accepted = r.u64();
+  durable = r.u64();
+  return r.ok();
 }
 
 }  // namespace
@@ -42,6 +75,7 @@ FabricRouter::FabricRouter(FabricConfig config, std::size_t num_slots,
   for (std::size_t i = 0; i < num_slots_ * num_producers_; ++i) {
     lanes_.push_back(std::make_unique<Lane>());
   }
+  clocks_.resize(num_producers_);
   metrics_ = metrics;
   if (metrics) {
     metrics->describe("fabric.router.batches",
@@ -77,39 +111,39 @@ std::size_t FabricRouter::add_endpoint(const std::string& host,
 
 // ---- lane plumbing ----------------------------------------------------
 
-namespace {
-
-// Parses one kAppendAck body; false on malformed input.
-bool parse_append_ack(std::span<const std::uint8_t> body,
-                      std::uint64_t& accepted, std::uint64_t& durable) {
-  net::BufReader r(body);
-  accepted = r.u64();
-  durable = r.u64();
-  return r.ok();
+void FabricRouter::add_inflight(std::int64_t delta) {
+  const std::int64_t total =
+      inflight_total_.fetch_add(delta, std::memory_order_relaxed) + delta;
+  if (inflight_) inflight_->set(static_cast<double>(total));
 }
 
-// Sub-updates are staged and replay-buffered in v2 form (trailing u64
-// ingest stamp); a lane that negotiated v1 chops the trailer off at
-// send time.
-std::span<const std::uint8_t> sub_for_version(
-    const std::vector<std::uint8_t>& sub, std::uint8_t version) {
-  std::span<const std::uint8_t> bytes(sub);
-  if (version < 2) bytes = bytes.first(bytes.size() - kSubUpdateIngestTrailerBytes);
-  return bytes;
+void FabricRouter::prune_replay(Lane& ln, std::uint64_t durable) {
+  ln.durable = std::max(ln.durable, durable);
+  while (!ln.replay.empty() &&
+         ln.replay.front().base + ln.replay.front().count <= ln.durable) {
+    ln.replay.pop_front();
+  }
 }
 
-}  // namespace
+bool FabricRouter::send_append(Lane& ln, const net::BufWriter& body) {
+  if (!ln.conn.send_frame(FrameType::kAppend, body.data())) {
+    ln.connected = false;
+    return false;
+  }
+  if (batches_) batches_->add();
+  if (bytes_) bytes_->add(body.size() + storage::wire::kFrameOverheadBytes + 1);
+  ++ln.unacked;
+  add_inflight(1);
+  return true;
+}
 
-void FabricRouter::recv_one_ack(Lane& ln, std::size_t slot, std::size_t p) {
+bool FabricRouter::read_ack(Lane& ln, std::size_t slot) {
   auto frame = ln.conn.recv_frame();
   std::uint64_t accepted = 0, durable = 0;
   if (!frame || frame->type != FrameType::kAppendAck ||
       !parse_append_ack(frame->body, accepted, durable)) {
-    // Connection lost mid-window: reconnect resends the whole
-    // un-durable suffix and drains it, leaving unacked == 0.
     ln.connected = false;
-    ensure_connected(ln, slot, p);
-    return;
+    return false;
   }
   // Acks return in send order, so the front in-flight entry is the
   // frame this ack answers: its send timestamp gives the full RPC
@@ -130,20 +164,13 @@ void FabricRouter::recv_one_ack(Lane& ln, std::size_t slot, std::size_t p) {
     }
   }
   --ln.unacked;
-  inflight_total_.fetch_sub(1, std::memory_order_relaxed);
-  if (inflight_) {
-    inflight_->set(
-        static_cast<double>(inflight_total_.load(std::memory_order_relaxed)));
-  }
-  while (ln.replay_base < durable && !ln.replay.empty()) {
-    ln.replay.pop_front();
-    ++ln.replay_base;
-  }
+  add_inflight(-1);
+  prune_replay(ln, durable);
+  return true;
 }
 
 bool FabricRouter::try_connect(Lane& ln, std::size_t slot, std::size_t p) {
-  inflight_total_.fetch_sub(static_cast<std::int64_t>(ln.unacked),
-                            std::memory_order_relaxed);
+  add_inflight(-static_cast<std::int64_t>(ln.unacked));
   ln.unacked = 0;
   ln.inflight_meta.clear();  // replay frames below are not ring-timed
   ln.connected = false;
@@ -152,95 +179,46 @@ bool FabricRouter::try_connect(Lane& ln, std::size_t slot, std::size_t p) {
   auto conn = TcpConn::dial(ep.host, ep.port);
   if (!conn) return false;
   ln.conn = std::move(*conn);
-  net::BufWriter hello;
-  hello.u8(kFabricVersionMin);
-  hello.u8(kFabricVersionMax);
-  hello.u32(static_cast<std::uint32_t>(slot));
-  hello.u32(static_cast<std::uint32_t>(p));
-  if (!ln.conn.send_frame(FrameType::kHello, hello.data())) return false;
-  auto ack = ln.conn.recv_frame();
-  if (!ack || ack->type != FrameType::kHelloAck) return false;
-  net::BufReader r(ack->body);
-  std::uint8_t version = r.u8();
-  std::uint64_t accepted = r.u64();
-  if (!r.ok() || version < kFabricVersionMin || version > kFabricVersionMax) {
-    return false;
-  }
+  const auto resume = hello(ln.conn, static_cast<std::uint32_t>(slot),
+                            static_cast<std::uint32_t>(p));
+  if (!resume) return false;
+  const std::uint64_t accepted = *resume;
   // Integrity, not connectivity: the server claiming fewer sub-updates
   // than it once reported durable (or more than we ever sent) means a
   // lost or foreign slot directory — retrying cannot fix it.
-  if (accepted < ln.replay_base || accepted > ln.sent) {
+  if (accepted < ln.durable || accepted > ln.sent) {
     throw std::runtime_error(
         "fabric: server " + describe_endpoint(ep) + " reports " +
         std::to_string(accepted) + " accepted sub-update(s) for slot " +
         std::to_string(slot) + " lane " + std::to_string(p) +
         " outside the client's durable window [" +
-        std::to_string(ln.replay_base) + ", " + std::to_string(ln.sent) + "]");
+        std::to_string(ln.durable) + ", " + std::to_string(ln.sent) + "]");
   }
   ln.connected = true;
-  ln.version = version;
-  // Resend the suffix the (restarted) server has not accepted yet,
-  // honoring the in-flight window, and drain every ack so the lane
-  // comes back with a clean slate.
-  std::uint64_t idx = accepted;
-  while (idx < ln.sent) {
-    std::size_t count = static_cast<std::size_t>(
-        std::min<std::uint64_t>(config_.batch_subs, ln.sent - idx));
-    net::BufWriter w;
-    w.u32(static_cast<std::uint32_t>(slot));
-    w.u32(static_cast<std::uint32_t>(p));
-    if (version >= 2) {
-      w.u64(next_trace_id_.fetch_add(1, std::memory_order_relaxed));
-      w.u64(util::wall_clock_ns());
-    }
-    w.u64(idx);
-    w.u32(static_cast<std::uint32_t>(count));
-    for (std::size_t i = 0; i < count; ++i) {
-      w.bytes(sub_for_version(
-          ln.replay[static_cast<std::size_t>(idx - ln.replay_base) + i],
-          version));
-    }
-    if (!ln.conn.send_frame(FrameType::kAppend, w.data())) {
-      ln.connected = false;
-      return false;
-    }
-    if (batches_) batches_->add();
-    if (bytes_) {
-      bytes_->add(w.size() + storage::wire::kFrameOverheadBytes + 1);
-    }
-    ++ln.unacked;
-    inflight_total_.fetch_add(1, std::memory_order_relaxed);
-    idx += count;
+  // Resend, whole and in order, every retained frame that reaches past
+  // what the (restarted) server accepted, honoring the in-flight window,
+  // and drain every ack so the lane comes back with a clean slate.  The
+  // server skips the indices of a straddling frame it already holds.
+  // Acks may prune the front of the buffer, so each next frame is
+  // looked up afresh by where the last resend ended.
+  std::uint64_t resent_to = accepted;
+  for (;;) {
+    auto next = std::partition_point(
+        ln.replay.begin(), ln.replay.end(), [&](const ReplayFrame& f) {
+          return f.base + f.count <= resent_to;
+        });
+    if (next == ln.replay.end()) break;
+    seal_append(next->body,
+                next_trace_id_.fetch_add(1, std::memory_order_relaxed),
+                util::wall_clock_ns(), next->base, next->count);
+    resent_to = next->base + next->count;
+    if (!send_append(ln, next->body)) return false;
     while (ln.unacked >= config_.max_inflight) {
-      auto frame = ln.conn.recv_frame();
-      std::uint64_t a = 0, d = 0;
-      if (!frame || frame->type != FrameType::kAppendAck ||
-          !parse_append_ack(frame->body, a, d)) {
-        ln.connected = false;
-        return false;
-      }
-      --ln.unacked;
-      inflight_total_.fetch_sub(1, std::memory_order_relaxed);
-      while (ln.replay_base < d && !ln.replay.empty()) {
-        ln.replay.pop_front();
-        ++ln.replay_base;
-      }
+      if (!read_ack(ln, slot)) return false;
     }
   }
   while (ln.unacked > 0) {
-    auto frame = ln.conn.recv_frame();
-    std::uint64_t a = 0, d = 0;
-    if (!frame || frame->type != FrameType::kAppendAck ||
-        !parse_append_ack(frame->body, a, d)) {
-      ln.connected = false;
-      return false;
-    }
-    --ln.unacked;
-    inflight_total_.fetch_sub(1, std::memory_order_relaxed);
-    while (ln.replay_base < d && !ln.replay.empty()) {
-      ln.replay.pop_front();
-      ++ln.replay_base;
-    }
+    if (!read_ack(ln, slot)) return false;
   }
   return true;
 }
@@ -248,8 +226,7 @@ bool FabricRouter::try_connect(Lane& ln, std::size_t slot, std::size_t p) {
 void FabricRouter::ensure_connected(Lane& ln, std::size_t slot,
                                     std::size_t p) {
   if (ln.connected && ln.conn.valid()) return;
-  const bool is_reconnect = ln.sent > 0 || ln.replay_base > 0;
-  if (is_reconnect) {
+  if (ln.sent > 0) {
     reconnects_count_.fetch_add(1, std::memory_order_relaxed);
     if (reconnects_) reconnects_->add();
   }
@@ -265,55 +242,69 @@ void FabricRouter::ensure_connected(Lane& ln, std::size_t slot,
 }
 
 void FabricRouter::send_batch(Lane& ln, std::size_t slot, std::size_t p) {
-  if (ln.pending.empty()) return;
+  if (ln.staged == 0) return;
   ensure_connected(ln, slot, p);
   const std::uint64_t trace_id =
       next_trace_id_.fetch_add(1, std::memory_order_relaxed);
-  net::BufWriter w;
-  w.u32(static_cast<std::uint32_t>(slot));
-  w.u32(static_cast<std::uint32_t>(p));
-  if (ln.version >= 2) {
-    w.u64(trace_id);
-    w.u64(util::wall_clock_ns());
-  }
-  w.u64(ln.sent);
-  w.u32(static_cast<std::uint32_t>(ln.pending.size()));
-  for (const auto& sub : ln.pending) w.bytes(sub_for_version(sub, ln.version));
+  seal_append(ln.staging, trace_id, util::wall_clock_ns(), ln.sent,
+              ln.staged);
   // Into the replay buffer BEFORE the send: if the send fails the
   // reconnect path resends straight from replay, so the batch can
-  // never be dropped between "staged" and "on the wire".
-  for (auto& sub : ln.pending) ln.replay.push_back(std::move(sub));
-  ln.sent += ln.pending.size();
-  ln.pending.clear();
-  if (batches_) batches_->add();
-  if (bytes_) bytes_->add(w.size() + storage::wire::kFrameOverheadBytes + 1);
-  if (!ln.conn.send_frame(FrameType::kAppend, w.data())) {
-    ln.connected = false;
+  // never be dropped between "staged" and "on the wire".  The copy
+  // leaves the staging buffer's capacity for the next frame.
+  ln.replay.push_back(ReplayFrame{ln.sent, ln.staged, ln.staging});
+  ln.sent += ln.staged;
+  ln.staged = 0;
+  ln.staging.clear();
+  if (!send_append(ln, ln.replay.back().body)) {
     ensure_connected(ln, slot, p);  // resends from replay
     return;
   }
-  ++ln.unacked;
   ln.inflight_meta.emplace_back(trace_id, std::chrono::steady_clock::now());
-  inflight_total_.fetch_add(1, std::memory_order_relaxed);
-  if (inflight_) {
-    inflight_->set(
-        static_cast<double>(inflight_total_.load(std::memory_order_relaxed)));
+  while (ln.unacked >= config_.max_inflight) {
+    // Connection lost mid-window: reconnect resends every un-durable
+    // frame and drains it, leaving unacked == 0.
+    if (!read_ack(ln, slot)) ensure_connected(ln, slot, p);
   }
-  while (ln.unacked >= config_.max_inflight) recv_one_ack(ln, slot, p);
 }
 
 void FabricRouter::drain_lane(Lane& ln, std::size_t slot, std::size_t p) {
   send_batch(ln, slot, p);
-  while (ln.unacked > 0) recv_one_ack(ln, slot, p);
+  while (ln.unacked > 0) {
+    if (!read_ack(ln, slot)) ensure_connected(ln, slot, p);
+  }
 }
 
 void FabricRouter::stage_sub(std::size_t p, const routing::FeedUpdate& sub,
-                             std::size_t slot) {
+                             std::size_t slot, std::uint64_t now_ns) {
   Lane& ln = lane(slot, p);
-  net::BufWriter w;
-  encode_sub_update(sub, w);
-  ln.pending.push_back(w.take());
-  if (ln.pending.size() >= config_.batch_subs) send_batch(ln, slot, p);
+  if (ln.staged == 0) {
+    begin_append(ln.staging, static_cast<std::uint32_t>(slot),
+                 static_cast<std::uint32_t>(p));
+    ln.staged_ns = now_ns;
+    ProducerClock& clock = clocks_[p];
+    clock.publish_due_ns =
+        std::min(clock.publish_due_ns, now_ns + kMaxStagingNs);
+  }
+  encode_sub_update(sub, ln.staging);
+  if (++ln.staged >= config_.batch_subs) send_batch(ln, slot, p);
+}
+
+void FabricRouter::publish_staged(std::size_t p, std::uint64_t now_ns,
+                                  bool all) {
+  ProducerClock& clock = clocks_[p];
+  clock.publish_due_ns = UINT64_MAX;
+  for (std::size_t slot = 0; slot < num_slots_; ++slot) {
+    std::shared_lock lock(*slot_mu_[slot]);
+    Lane& ln = lane(slot, p);
+    if (ln.staged == 0) continue;
+    if (all || now_ns - ln.staged_ns >= kMaxStagingNs) {
+      send_batch(ln, slot, p);
+    } else {
+      clock.publish_due_ns =
+          std::min(clock.publish_due_ns, ln.staged_ns + kMaxStagingNs);
+    }
+  }
 }
 
 bool FabricRouter::push(std::size_t p, const routing::FeedUpdate& update) {
@@ -321,6 +312,7 @@ bool FabricRouter::push(std::size_t p, const routing::FeedUpdate& update) {
   updates_pushed_.fetch_add(1, std::memory_order_relaxed);
   const bgp::UpdateBody& body = update.update.body;
   if (body.withdrawn.empty() && body.announced.empty()) return true;
+  const std::uint64_t now = util::wall_clock_ns();
   // The wire carries one single-prefix FeedUpdate per sub-update, split
   // and stamped exactly as stream::ShardRouter does; a withdrawal
   // sub-update carries no route attributes.
@@ -330,7 +322,7 @@ bool FabricRouter::push(std::size_t p, const routing::FeedUpdate& update) {
   sub.update.peer_ip = update.update.peer_ip;
   sub.update.peer_asn = update.update.peer_asn;
   sub.update.collector_id = update.update.collector_id;
-  sub.ingest_ns = stream::ingest_stamp(update, util::wall_clock_ns());
+  sub.ingest_ns = stream::ingest_stamp(update, now);
   bgp::UpdateBody& sub_body = sub.update.body;
   stream::for_each_sub_update(
       update, num_slots_,
@@ -348,8 +340,16 @@ bool FabricRouter::push(std::size_t p, const routing::FeedUpdate& update) {
           sub_body.announced.assign(1, body.announced[index]);
         }
         std::shared_lock lock(*slot_mu_[slot]);
-        stage_sub(p, sub, slot);
+        stage_sub(p, sub, slot, now);
       });
+  // The in-process producer's publish rules (StreamPipeline::Producer::
+  // push).  A clock that steps back reads as a long silence: publish,
+  // never hold.
+  ProducerClock& clock = clocks_[p];
+  const bool quiet = now - clock.last_push_ns >= kMaxStagingNs;
+  clock.last_push_ns = now;
+  // A slow feed sends everything at once; otherwise only aged batches.
+  if (quiet || now >= clock.publish_due_ns) publish_staged(p, now, quiet);
   return true;
 }
 
@@ -370,33 +370,16 @@ void FabricRouter::drain_slot_locked(std::size_t slot) {
 
 std::optional<TcpConn::FramePayload> FabricRouter::control_rpc(
     std::size_t endpoint_index, FrameType type,
-    const std::function<void(std::uint8_t, net::BufWriter&)>& build_body,
+    const std::function<void(net::BufWriter&)>& build_body,
     FrameType expect, const ControlSpan& span) {
   const util::RetryPolicy& rp = config_.reconnect;
   for (std::size_t attempt = 1; attempt <= rp.attempts(); ++attempt) {
     if (attempt > 1) std::this_thread::sleep_for(rp.delay(attempt - 1));
     FabricEndpoint ep = endpoint(endpoint_index);
     auto conn = TcpConn::dial(ep.host, ep.port);
-    if (!conn) continue;
-    net::BufWriter hello;
-    hello.u8(kFabricVersionMin);
-    hello.u8(kFabricVersionMax);
-    hello.u32(kControlLane);
-    hello.u32(kControlLane);
-    if (!conn->send_frame(FrameType::kHello, hello.data())) continue;
-    auto hello_ack = conn->recv_frame();
-    if (!hello_ack || hello_ack->type != FrameType::kHelloAck) continue;
-    net::BufReader hr(hello_ack->body);
-    const std::uint8_t version = hr.u8();
-    if (!hr.ok() || version < kFabricVersionMin ||
-        version > kFabricVersionMax) {
-      continue;
-    }
-    // STATS is v2-only; a v1 server can never answer it, so retrying
-    // would only repeat the refusal.
-    if (type == FrameType::kStats && version < 2) return std::nullopt;
+    if (!conn || !hello(*conn, kControlLane, kControlLane)) continue;
     net::BufWriter body;
-    build_body(version, body);
+    build_body(body);
     auto t0 = std::chrono::steady_clock::now();
     if (!conn->send_frame(type, body.data())) continue;
     auto reply = conn->recv_frame();
@@ -423,12 +406,10 @@ bool FabricRouter::checkpoint_slot_locked(std::size_t slot) {
       next_trace_id_.fetch_add(1, std::memory_order_relaxed);
   auto reply = control_rpc(
       placement_[slot], FrameType::kCheckpoint,
-      [&](std::uint8_t version, net::BufWriter& body) {
+      [&](net::BufWriter& body) {
         body.u32(static_cast<std::uint32_t>(slot));
-        if (version >= 2) {
-          body.u64(trace_id);
-          body.u64(util::wall_clock_ns());
-        }
+        body.u64(trace_id);
+        body.u64(util::wall_clock_ns());
       },
       FrameType::kCheckpointAck,
       ControlSpan{"fabric.checkpoint", static_cast<std::uint32_t>(slot),
@@ -441,11 +422,7 @@ bool FabricRouter::checkpoint_slot_locked(std::size_t slot) {
   for (std::uint32_t p = 0; p < producers && p < num_producers_; ++p) {
     std::uint64_t durable = r.u64();
     if (!r.ok()) return false;
-    Lane& ln = lane(slot, p);
-    while (ln.replay_base < durable && !ln.replay.empty()) {
-      ln.replay.pop_front();
-      ++ln.replay_base;
-    }
+    prune_replay(lane(slot, p), durable);
   }
   return true;
 }
@@ -469,7 +446,7 @@ void FabricRouter::close(util::SimTime end_time) {
     drain_slot_locked(slot);
     all_ok = control_rpc(
                  placement_[slot], FrameType::kClose,
-                 [&](std::uint8_t, net::BufWriter& body) {
+                 [&](net::BufWriter& body) {
                    body.u32(static_cast<std::uint32_t>(slot));
                    body.u64(static_cast<std::uint64_t>(end_time));
                  },
@@ -497,12 +474,10 @@ std::vector<core::PeerEvent> FabricRouter::query_events() {
             next_trace_id_.fetch_add(1, std::memory_order_relaxed);
         auto reply = control_rpc(
             placement_[slot], FrameType::kQuery,
-            [&](std::uint8_t version, net::BufWriter& body) {
+            [&](net::BufWriter& body) {
               body.u32(static_cast<std::uint32_t>(slot));
-              if (version >= 2) {
-                body.u64(trace_id);
-                body.u64(util::wall_clock_ns());
-              }
+              body.u64(trace_id);
+              body.u64(util::wall_clock_ns());
             },
             FrameType::kQueryResult,
             ControlSpan{"fabric.query", static_cast<std::uint32_t>(slot),
@@ -558,7 +533,7 @@ bool FabricRouter::migrate(std::size_t slot, std::size_t target_endpoint) {
   //    durable log position, with all closed events sealed to disk.
   if (!checkpoint_slot_locked(slot)) return false;
   // 3. Ship the slot directory (checkpoint + pinned segment suffix).
-  const auto slot_body = [slot](std::uint8_t, net::BufWriter& body) {
+  const auto slot_body = [slot](net::BufWriter& body) {
     body.u32(static_cast<std::uint32_t>(slot));
   };
   auto fetched = control_rpc(placement_[slot], FrameType::kHandoffFetch,
@@ -571,7 +546,7 @@ bool FabricRouter::migrate(std::size_t slot, std::size_t target_endpoint) {
   //    it recovered to, which must equal everything we ever sent.
   auto ack = control_rpc(
       target_endpoint, FrameType::kHandoffInstall,
-      [&](std::uint8_t, net::BufWriter& install) {
+      [&](net::BufWriter& install) {
         install.u32(static_cast<std::uint32_t>(slot));
         encode_files(*files, install);
       },
@@ -606,7 +581,7 @@ void FabricRouter::shutdown_endpoints() {
     count = endpoints_.size();
   }
   for (std::size_t e = 0; e < count; ++e) {
-    control_rpc(e, FrameType::kShutdown, [](std::uint8_t, net::BufWriter&) {},
+    control_rpc(e, FrameType::kShutdown, [](net::BufWriter&) {},
                 FrameType::kShutdownAck, ControlSpan{});
   }
 }
@@ -623,14 +598,14 @@ telemetry::FleetTelemetry FabricRouter::fleet_telemetry() {
         next_trace_id_.fetch_add(1, std::memory_order_relaxed);
     auto reply = control_rpc(
         e, FrameType::kStats,
-        [&](std::uint8_t, net::BufWriter& body) {
+        [&](net::BufWriter& body) {
           body.u64(trace_id);
           body.u64(util::wall_clock_ns());
           body.u32(1024);  // slow spans per slot — generous, bounded
         },
         FrameType::kStatsAck,
         ControlSpan{"fabric.stats", static_cast<std::uint32_t>(e), trace_id});
-    // An unreachable (or v1) endpoint is skipped: the fold covers what
+    // An unreachable endpoint is skipped: the fold covers what
     // answered, and the per-endpoint split shows who is missing.
     if (!reply) continue;
     net::BufReader r(reply->body);

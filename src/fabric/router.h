@@ -12,11 +12,15 @@
 //   * batches them per (slot, producer) lane into APPEND frames with a
 //     bounded in-flight window (at most `max_inflight` unacked frames
 //     per lane; a full window blocks the producer — backpressure,
-//     never loss),
+//     never loss).  A lane sends when `batch_subs` sub-updates are
+//     staged, when its oldest has waited
+//     stream::StreamPipeline::Producer::kMaxStaging, or at once when a
+//     push follows kMaxStaging of that producer's silence — the
+//     in-process producer's rules, so a slow feed is never held back,
 //   * survives connection loss ReconnectingSource-style: redial with
 //     util::RetryPolicy backoff, HELLO returns the server's accepted
-//     sub-update count for the lane, and the un-durable replay buffer
-//     is resent from exactly that index — exactly-once across server
+//     sub-update count for the lane, and every retained APPEND frame
+//     that reaches past it is resent whole — exactly-once across server
 //     SIGKILL + recovery,
 //   * serves scatter-gather queries: one thread per slot fans the
 //     query out, results merge in canonical event order, and
@@ -28,13 +32,15 @@
 //     checkpoint made everything durable).
 //
 // Exactly-once accounting: a lane's sub-updates are indexed from 0 in
-// send order.  The server acks every APPEND with (accepted_total,
-// durable_total); `durable` advances only at drained checkpoint cuts,
-// and the router prunes its replay buffer to it.  After a server
+// send order, and each APPEND frame covers [base, base + count).  The
+// server acks every APPEND with (accepted_total, durable_total);
+// `durable` advances only at drained checkpoint cuts, and the router
+// drops a retained frame once it is wholly durable.  After a server
 // crash, HELLO reports the recovered accepted count (== the newest
 // durable cut, which write_checkpoint's atomic rename guarantees is
-// >= anything the client was ever told), so the resend can neither
-// skip nor duplicate a sub-update.
+// >= anything the client was ever told).  Resending a frame that
+// straddles that count is safe: the server skips indices below it, so
+// the resend can neither skip nor duplicate a sub-update.
 //
 // Threading: one lane belongs to one producer thread.  Producers take
 // their slot's lock shared; control operations (checkpoint_all,
@@ -77,7 +83,7 @@ struct FabricConfig {
   std::vector<FabricEndpoint> endpoints;
   // Unacked APPEND frames per lane before the producer blocks on acks.
   std::size_t max_inflight = 4;
-  // Sub-updates per APPEND frame.
+  // Sub-updates per full APPEND frame (a lane also sends by age).
   std::size_t batch_subs = 64;
   // Redial backoff on connection loss.  More patient than the default
   // policy: a crashed shard server needs time to recover its slots.
@@ -135,8 +141,8 @@ class FabricRouter {
   // stop accepting and exit their run loop).  Best-effort.
   void shutdown_endpoints();
 
-  // Fleet-wide observability: one STATS RPC per endpoint (v2+ servers
-  // only; unreachable or v1 endpoints are skipped) gathers every
+  // Fleet-wide observability: one STATS RPC per endpoint (unreachable
+  // endpoints are skipped) gathers every
   // hosted slot's full registry snapshot + recent slow spans, folds
   // them into a single Snapshot (counters/gauges sum, histograms merge
   // bucket-exactly, per_shard re-keyed by global slot id), and
@@ -157,27 +163,42 @@ class FabricRouter {
   std::size_t endpoint_of(std::size_t slot) const { return placement_[slot]; }
 
  private:
+  // One sealed APPEND frame, retained until every sub-update in
+  // [base, base + count) is durable on the server.
+  struct ReplayFrame {
+    std::uint64_t base = 0;
+    std::uint32_t count = 0;
+    net::BufWriter body;
+  };
+
   struct Lane {
     TcpConn conn;
     bool connected = false;
-    // HELLO-negotiated session version; v1 lanes emit v1 bodies (no
-    // trace header, sub-update ingest trailers truncated at send).
-    std::uint8_t version = kFabricVersionMax;
-    std::uint64_t sent = 0;         // next sub-update index to assign
-    std::uint64_t replay_base = 0;  // index of replay.front()
-    // Encoded sub-updates in [replay_base, sent): everything accepted
-    // but not yet durable on the server — the resend source after a
-    // crash.  Pruned on every ack's durable_total.
-    std::deque<std::vector<std::uint8_t>> replay;
-    // Encoded sub-updates staged for the next APPEND (not yet sent,
-    // not yet indexed).
-    std::vector<std::vector<std::uint8_t>> pending;
+    std::uint64_t sent = 0;     // next sub-update index to assign
+    std::uint64_t durable = 0;  // highest durable_total the server acked
+    // The next APPEND body: a zeroed header (begin_append) followed by
+    // `staged` encoded sub-updates, not yet indexed.  Reused frame after
+    // frame, so staging allocates nothing once it has grown.
+    net::BufWriter staging;
+    std::uint32_t staged = 0;
+    std::uint64_t staged_ns = 0;  // wall clock when the first was staged
+    // Sealed frames, oldest first, covering at least [durable, sent):
+    // the resend source after a reconnect.
+    std::deque<ReplayFrame> replay;
     std::size_t unacked = 0;  // APPEND frames sent, acks not read
     // (trace_id, send time) per unacked APPEND, FIFO — acks come back
     // in send order on a lane, so the front entry times the ack being
     // read.  Cleared on reconnect (the replay path re-times resends).
     std::deque<std::pair<std::uint64_t, std::chrono::steady_clock::time_point>>
         inflight_meta;
+  };
+
+  // Staging clock of one producer, touched only by its own thread.
+  struct ProducerClock {
+    std::uint64_t last_push_ns = 0;
+    // Earliest staged_ns + kMaxStaging over the producer's lanes; may
+    // be early (never late) after a batch went out full.
+    std::uint64_t publish_due_ns = UINT64_MAX;
   };
 
   Lane& lane(std::size_t slot, std::size_t p) {
@@ -188,14 +209,25 @@ class FabricRouter {
   // All lane operations require the caller to hold slot's lock (shared
   // for the owning producer, unique for control paths).
   void stage_sub(std::size_t p, const routing::FeedUpdate& sub,
-                 std::size_t slot);
+                 std::size_t slot, std::uint64_t now_ns);
+  // Sends producer p's staged batches: every non-empty one when `all`,
+  // else those whose oldest sub-update has waited kMaxStaging.  Takes
+  // each slot's lock shared.
+  void publish_staged(std::size_t p, std::uint64_t now_ns, bool all);
   void send_batch(Lane& ln, std::size_t slot, std::size_t p);
-  void recv_one_ack(Lane& ln, std::size_t slot, std::size_t p);
+  // Sends one APPEND body and counts it in flight; false (and the lane
+  // marked disconnected) when the send fails.
+  bool send_append(Lane& ln, const net::BufWriter& body);
+  // Reads one APPEND ack: times it, retires it from the window and
+  // prunes the replay buffer.  False (and the lane marked disconnected)
+  // on connection loss or a malformed ack.
+  bool read_ack(Lane& ln, std::size_t slot);
   void drain_lane(Lane& ln, std::size_t slot, std::size_t p);
+  static void prune_replay(Lane& ln, std::uint64_t durable);
+  // Moves the fleet-wide unacked-frame count and its gauge by `delta`.
+  void add_inflight(std::int64_t delta);
   void ensure_connected(Lane& ln, std::size_t slot, std::size_t p);
   bool try_connect(Lane& ln, std::size_t slot, std::size_t p);
-  void send_frames_for_replay(Lane& ln, std::size_t slot, std::size_t p,
-                              std::uint64_t from_index);
 
   // Optional trace attribution for a control RPC: when label and
   // trace_id are set, the RPC's round trip is offered to the local
@@ -208,12 +240,11 @@ class FabricRouter {
   };
 
   // Fresh control connection RPC with retry; nullopt past the budget
-  // or on an ERROR reply of the wrong type.  The body is built AFTER
-  // the HELLO handshake via `build_body(negotiated_version, writer)` —
-  // v2 bodies carry trace-context headers a v1 server must not see.
+  // or on an ERROR reply of the wrong type.  The body is built per
+  // attempt by `build_body`, so a traced body stamps a fresh origin.
   std::optional<TcpConn::FramePayload> control_rpc(
       std::size_t endpoint_index, FrameType type,
-      const std::function<void(std::uint8_t, net::BufWriter&)>& build_body,
+      const std::function<void(net::BufWriter&)>& build_body,
       FrameType expect, const ControlSpan& span);
   bool checkpoint_slot_locked(std::size_t slot);
   void drain_slot_locked(std::size_t slot);
@@ -226,12 +257,13 @@ class FabricRouter {
   std::vector<std::size_t> placement_;  // slot -> endpoint index
   std::vector<std::unique_ptr<std::shared_mutex>> slot_mu_;
   std::vector<std::unique_ptr<Lane>> lanes_;
+  std::vector<ProducerClock> clocks_;  // one per producer
   std::atomic<std::uint64_t> updates_pushed_{0};
   std::atomic<std::uint64_t> reconnects_count_{0};
   std::atomic<std::int64_t> inflight_total_{0};
   std::atomic<bool> closed_{false};
-  // Distributed trace-id generator: one id per RPC, stamped into v2
-  // frame headers and echoed by server-side spans.  0 means untraced.
+  // Distributed trace-id generator: one id per RPC, stamped into frame
+  // headers and echoed by server-side spans.  0 means untraced.
   std::atomic<std::uint64_t> next_trace_id_{1};
 
   telemetry::MetricsRegistry* metrics_ = nullptr;

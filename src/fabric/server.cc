@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "storage/record_codec.h"
-#include "storage/wire.h"
 #include "telemetry/fleet.h"
 #include "util/time.h"
 
@@ -184,7 +183,7 @@ bool ShardServer::send_error(TcpConn& conn, const std::string& message) {
 }
 
 void ShardServer::serve(TcpConn conn) {
-  // HELLO first: version negotiation, and for data lanes the accepted
+  // HELLO first: the version check, and for data lanes the accepted
   // count the client resumes from.
   auto hello = conn.recv_frame();
   if (!hello || hello->type != FrameType::kHello) return;
@@ -194,9 +193,7 @@ void ShardServer::serve(TcpConn conn) {
   std::uint32_t slot_id = r.u32();
   std::uint32_t producer = r.u32();
   if (!r.ok() || !r.at_end()) return;
-  auto version = storage::wire::negotiate_version(
-      kFabricVersionMin, kFabricVersionMax, peer_min, peer_max);
-  if (!version) {
+  if (kFabricVersion < peer_min || kFabricVersion > peer_max) {
     send_error(conn, "no common fabric protocol version");
     return;
   }
@@ -212,29 +209,27 @@ void ShardServer::serve(TcpConn conn) {
     accepted = s.accepted[producer];
   }
   net::BufWriter ack;
-  ack.u8(*version);
+  ack.u8(kFabricVersion);
   ack.u64(accepted);
   if (!conn.send_frame(FrameType::kHelloAck, ack.data())) return;
   for (;;) {
     auto frame = conn.recv_frame();
     if (!frame) return;  // EOF / reset / torn frame
-    if (!handle_frame(conn, *frame, *version)) return;
+    if (!handle_frame(conn, *frame)) return;
   }
 }
 
 bool ShardServer::handle_frame(TcpConn& conn,
-                               const TcpConn::FramePayload& frame,
-                               std::uint8_t version) {
+                               const TcpConn::FramePayload& frame) {
   switch (frame.type) {
     case FrameType::kAppend:
-      return handle_append(conn, frame.body, version);
+      return handle_append(conn, frame.body);
     case FrameType::kQuery:
-      return handle_query(conn, frame.body, version);
+      return handle_query(conn, frame.body);
     case FrameType::kCheckpoint:
-      return handle_checkpoint(conn, frame.body, version);
+      return handle_checkpoint(conn, frame.body);
     case FrameType::kStats:
-      if (version < 2) return send_error(conn, "STATS requires fabric v2");
-      return handle_stats(conn, frame.body, version);
+      return handle_stats(conn, frame.body);
     case FrameType::kClose:
       return handle_close(conn, frame.body);
     case FrameType::kHealth:
@@ -262,17 +257,12 @@ bool ShardServer::handle_frame(TcpConn& conn,
 }
 
 bool ShardServer::handle_append(TcpConn& conn,
-                                const std::vector<std::uint8_t>& body,
-                                std::uint8_t version) {
+                                const std::vector<std::uint8_t>& body) {
   net::BufReader r(body);
   std::uint32_t slot_id = r.u32();
   std::uint32_t producer = r.u32();
-  std::uint64_t trace_id = 0;
-  std::uint64_t origin_ns = 0;
-  if (version >= 2) {
-    trace_id = r.u64();
-    origin_ns = r.u64();
-  }
+  std::uint64_t trace_id = r.u64();
+  std::uint64_t origin_ns = r.u64();
   std::uint64_t base = r.u64();
   std::uint32_t count = r.u32();
   if (!r.ok() || producer >= config_.num_producers) {
@@ -306,7 +296,7 @@ bool ShardServer::handle_append(TcpConn& conn,
                                 std::to_string(s.accepted[producer]));
   }
   for (std::uint32_t i = 0; i < count; ++i) {
-    auto sub = decode_sub_update(r, version);
+    auto sub = decode_sub_update(r);
     if (!sub) return send_error(conn, "malformed sub-update");
     std::uint64_t index = base + i;
     if (index < s.accepted[producer]) continue;  // replay duplicate
@@ -325,16 +315,11 @@ bool ShardServer::handle_append(TcpConn& conn,
 }
 
 bool ShardServer::handle_query(TcpConn& conn,
-                               const std::vector<std::uint8_t>& body,
-                               std::uint8_t version) {
+                               const std::vector<std::uint8_t>& body) {
   net::BufReader r(body);
   std::uint32_t slot_id = r.u32();
-  std::uint64_t trace_id = 0;
-  std::uint64_t origin_ns = 0;
-  if (version >= 2) {
-    trace_id = r.u64();
-    origin_ns = r.u64();
-  }
+  std::uint64_t trace_id = r.u64();
+  std::uint64_t origin_ns = r.u64();
   if (!r.ok() || !r.at_end()) return send_error(conn, "malformed QUERY");
   Slot& s = slot(slot_id);
   std::shared_lock lock(s.mu);
@@ -359,16 +344,11 @@ bool ShardServer::handle_query(TcpConn& conn,
 }
 
 bool ShardServer::handle_checkpoint(TcpConn& conn,
-                                    const std::vector<std::uint8_t>& body,
-                                    std::uint8_t version) {
+                                    const std::vector<std::uint8_t>& body) {
   net::BufReader r(body);
   std::uint32_t slot_id = r.u32();
-  std::uint64_t trace_id = 0;
-  std::uint64_t origin_ns = 0;
-  if (version >= 2) {
-    trace_id = r.u64();
-    origin_ns = r.u64();
-  }
+  std::uint64_t trace_id = r.u64();
+  std::uint64_t origin_ns = r.u64();
   if (!r.ok() || !r.at_end()) return send_error(conn, "malformed CHECKPOINT");
   Slot& s = slot(slot_id);
   std::unique_lock lock(s.mu);
@@ -396,9 +376,7 @@ bool ShardServer::handle_checkpoint(TcpConn& conn,
 }
 
 bool ShardServer::handle_stats(TcpConn& conn,
-                               const std::vector<std::uint8_t>& body,
-                               std::uint8_t version) {
-  (void)version;  // v2-gated by handle_frame
+                               const std::vector<std::uint8_t>& body) {
   net::BufReader r(body);
   const std::uint64_t trace_id = r.u64();
   (void)trace_id;  // carried for symmetry; STATS itself is not traced

@@ -8,8 +8,9 @@
 // plane; it only moves slots behind sockets.
 //
 // Protocol handling (fabric/protocol.h):
-//   * HELLO        version negotiation; data lanes also learn the
-//                  slot's recovered accepted count for their producer.
+//   * HELLO        version check (ERROR unless the peer's range holds
+//                  kFabricVersion); data lanes also learn the slot's
+//                  recovered accepted count for their producer.
 //   * APPEND       idempotent by sub-update index: indices below the
 //                  accepted count are replay duplicates and are
 //                  skipped; a gap above it is a protocol error.
@@ -103,19 +104,11 @@ class ShardServer {
   void accept_loop();
   void serve(TcpConn conn);
   // Handlers return false to drop the connection (after kError).
-  // `version` is the HELLO-negotiated session version: v2+ bodies carry
-  // a trace-context header (u64 trace_id | u64 origin_ns) and v2
-  // sub-updates a trailing ingest stamp.
-  bool handle_frame(TcpConn& conn, const TcpConn::FramePayload& frame,
-                    std::uint8_t version);
-  bool handle_append(TcpConn& conn, const std::vector<std::uint8_t>& body,
-                     std::uint8_t version);
-  bool handle_query(TcpConn& conn, const std::vector<std::uint8_t>& body,
-                    std::uint8_t version);
-  bool handle_checkpoint(TcpConn& conn, const std::vector<std::uint8_t>& body,
-                         std::uint8_t version);
-  bool handle_stats(TcpConn& conn, const std::vector<std::uint8_t>& body,
-                    std::uint8_t version);
+  bool handle_frame(TcpConn& conn, const TcpConn::FramePayload& frame);
+  bool handle_append(TcpConn& conn, const std::vector<std::uint8_t>& body);
+  bool handle_query(TcpConn& conn, const std::vector<std::uint8_t>& body);
+  bool handle_checkpoint(TcpConn& conn, const std::vector<std::uint8_t>& body);
+  bool handle_stats(TcpConn& conn, const std::vector<std::uint8_t>& body);
   bool handle_close(TcpConn& conn, const std::vector<std::uint8_t>& body);
   bool handle_health(TcpConn& conn);
   bool handle_handoff_fetch(TcpConn& conn,

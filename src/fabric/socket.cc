@@ -87,7 +87,7 @@ bool TcpConn::send_frame(FrameType type, std::span<const std::uint8_t> body) {
   payload.u8(static_cast<std::uint8_t>(type));
   payload.bytes(body);
   net::BufWriter frame;
-  storage::wire::encode_frame(frame, kFabricMagic, kFabricVersionMax,
+  storage::wire::encode_frame(frame, kFabricMagic, kFabricVersion,
                               payload.data());
   return send_all(frame.data().data(), frame.size());
 }
@@ -111,8 +111,8 @@ std::optional<TcpConn::FramePayload> TcpConn::recv_frame() {
   if (!recv_all(frame.data() + sizeof(head), len + 4)) return std::nullopt;
   net::BufReader reader(frame);
   auto decoded = storage::wire::decode_frame(reader, kFabricMagic,
-                                             kFabricVersionMin,
-                                             kFabricVersionMax,
+                                             kFabricVersion,
+                                             kFabricVersion,
                                              kMaxFabricPayload);
   if (!decoded || decoded->payload.empty()) return std::nullopt;
   FramePayload out;

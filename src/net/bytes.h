@@ -49,6 +49,8 @@ class BufWriter {
   }
 
   std::size_t size() const { return buf_.size(); }
+  // Empties the buffer but keeps its capacity, for a reused writer.
+  void clear() { buf_.clear(); }
   const std::vector<std::uint8_t>& data() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
 

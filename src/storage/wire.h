@@ -9,9 +9,8 @@
 // a fabric APPEND payload is byte-identical to the record payload the
 // receiving shard spills to disk.
 //
-// Frames carry a version byte so independently-deployed peers can
-// negotiate: each side advertises [min, max] readable versions and
-// both speak the highest common one (negotiate_version).
+// Frames carry a version byte so a reader can refuse a layout it does
+// not speak: decode_frame rejects versions outside its readable range.
 #pragma once
 
 #include <cstdint>
@@ -70,18 +69,6 @@ inline std::optional<Frame> decode_frame(net::BufReader& in,
   expect = util::crc32(payload, expect);
   if (crc != expect) return std::nullopt;
   return Frame{version, payload};
-}
-
-// Highest version both sides can speak, or nullopt when the ranges
-// are disjoint (peers too far apart to talk).
-inline std::optional<std::uint8_t> negotiate_version(std::uint8_t a_min,
-                                                     std::uint8_t a_max,
-                                                     std::uint8_t b_min,
-                                                     std::uint8_t b_max) {
-  std::uint8_t lo = a_min > b_min ? a_min : b_min;
-  std::uint8_t hi = a_max < b_max ? a_max : b_max;
-  if (lo > hi) return std::nullopt;
-  return hi;
 }
 
 }  // namespace bgpbh::storage::wire

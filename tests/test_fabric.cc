@@ -1,10 +1,11 @@
 // Multi-process shard-fabric suite (src/fabric/):
-//   * storage::wire version negotiation + frame version-range and CRC
-//     rejection (the shared record/fabric framing),
+//   * storage::wire frame version-range and CRC rejection (the shared
+//     record/fabric framing),
 //   * consistent-hash placement: determinism, and the add-an-endpoint
 //     property (slots either stay put or move to the new endpoint),
-//   * control-plane smoke over a real socket: HELLO negotiation +
-//     HEALTH against a fork/exec'd shard_server,
+//   * control-plane smoke over a real socket: HELLO + HEALTH against a
+//     fork/exec'd shard_server, and an ERROR for a HELLO whose version
+//     range excludes the fabric's one version,
 //   * the headline grid: the full deterministic workload pushed
 //     through fabric clients against live shard-server processes, the
 //     scatter-gathered event set byte-identical to the in-process
@@ -13,7 +14,11 @@
 //     checkpoint, restart it on the same directory/port, and the
 //     lane replay completes the run with zero loss/duplication,
 //   * rebalance: migrate every slot onto a server spawned mid-stream,
-//     keep feeding, and the final event set is still byte-identical.
+//     keep feeding, and the final event set is still byte-identical,
+//   * wire bytes: a golden APPEND body, as first sent and as replayed
+//     whole after a dropped connection,
+//   * latency: a slow feed's closing update reaches its shard server
+//     without flush().
 #include "fabric/router.h"
 
 #include <gtest/gtest.h>
@@ -22,7 +27,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
+#include <span>
 #include <map>
 #include <string>
 #include <thread>
@@ -200,17 +208,7 @@ std::vector<std::vector<FeedUpdate>> partition(
   return parts;
 }
 
-// ---- satellite: shared framing + version negotiation ------------------
-
-TEST(WireVersion, NegotiationPicksHighestCommonVersion) {
-  using storage::wire::negotiate_version;
-  EXPECT_EQ(negotiate_version(1, 1, 1, 1), std::optional<std::uint8_t>(1));
-  EXPECT_EQ(negotiate_version(1, 3, 2, 5), std::optional<std::uint8_t>(3));
-  EXPECT_EQ(negotiate_version(2, 5, 1, 3), std::optional<std::uint8_t>(3));
-  EXPECT_EQ(negotiate_version(1, 2, 2, 2), std::optional<std::uint8_t>(2));
-  EXPECT_EQ(negotiate_version(1, 1, 2, 3), std::nullopt);
-  EXPECT_EQ(negotiate_version(4, 5, 1, 3), std::nullopt);
-}
+// ---- shared framing: version range and CRC ----------------------------
 
 TEST(WireVersion, DecodeRejectsVersionOutsideReadableRange) {
   const std::vector<std::uint8_t> payload = {0xAA, 0xBB, 0xCC};
@@ -285,8 +283,8 @@ TEST(ShardServerSmoke, HelloNegotiatesAndHealthAnswers) {
   auto conn = TcpConn::dial("127.0.0.1", server.port);
   ASSERT_TRUE(conn.has_value());
   net::BufWriter hello;
-  hello.u8(kFabricVersionMin);
-  hello.u8(kFabricVersionMax);
+  hello.u8(kFabricVersion);
+  hello.u8(kFabricVersion);
   hello.u32(kControlLane);
   hello.u32(kControlLane);
   ASSERT_TRUE(conn->send_frame(FrameType::kHello, hello.data()));
@@ -294,7 +292,7 @@ TEST(ShardServerSmoke, HelloNegotiatesAndHealthAnswers) {
   ASSERT_TRUE(hello_ack.has_value());
   ASSERT_EQ(hello_ack->type, FrameType::kHelloAck);
   net::BufReader hr(hello_ack->body);
-  EXPECT_EQ(hr.u8(), kFabricVersionMax);
+  EXPECT_EQ(hr.u8(), kFabricVersion);
   EXPECT_EQ(hr.u64(), 0u);
   ASSERT_TRUE(conn->send_frame(FrameType::kHealth, {}));
   auto health = conn->recv_frame();
@@ -303,6 +301,48 @@ TEST(ShardServerSmoke, HelloNegotiatesAndHealthAnswers) {
   net::BufReader br(health->body);
   EXPECT_EQ(br.u32(), 0u);  // no slots touched yet
   EXPECT_EQ(br.u8(), 0u);   // healthy
+  ASSERT_TRUE(conn->send_frame(FrameType::kShutdown, {}));
+  auto ack = conn->recv_frame();
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->type, FrameType::kShutdownAck);
+  int status = server.wait_exit();
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  fs::remove_all(dir);
+}
+
+TEST(ShardServerSmoke, HelloOutsideVersionRangeGetsError) {
+  std::string dir = temp_dir("bgpbh_fabric_hello_v1");
+  ServerProc server = ServerProc::spawn(dir, 1);
+  ASSERT_TRUE(server.valid());
+  {
+    auto conn = TcpConn::dial("127.0.0.1", server.port);
+    ASSERT_TRUE(conn.has_value());
+    net::BufWriter hello;
+    hello.u8(1);  // a peer that speaks only [1, 1]
+    hello.u8(1);
+    hello.u32(kControlLane);
+    hello.u32(kControlLane);
+    ASSERT_TRUE(conn->send_frame(FrameType::kHello, hello.data()));
+    auto reply = conn->recv_frame();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->type, FrameType::kError);
+    // ... and the server hangs up.
+    EXPECT_FALSE(conn->recv_frame().has_value());
+  }
+  // The refusal is per connection: the server still serves a
+  // well-versioned peer and shuts down cleanly.
+  auto conn = TcpConn::dial("127.0.0.1", server.port);
+  ASSERT_TRUE(conn.has_value());
+  net::BufWriter hello;
+  hello.u8(kFabricVersion);
+  hello.u8(kFabricVersion);
+  hello.u32(kControlLane);
+  hello.u32(kControlLane);
+  ASSERT_TRUE(conn->send_frame(FrameType::kHello, hello.data()));
+  auto hello_ack = conn->recv_frame();
+  ASSERT_TRUE(hello_ack.has_value());
+  EXPECT_EQ(hello_ack->type, FrameType::kHelloAck);
   ASSERT_TRUE(conn->send_frame(FrameType::kShutdown, {}));
   auto ack = conn->recv_frame();
   ASSERT_TRUE(ack.has_value());
@@ -506,7 +546,7 @@ TEST(FabricFleetTelemetry, FoldedViewEqualsPerSlotSumAfterCrash) {
 
   // The folded view carries the remote pipelines' substance: the
   // servers measured ingest->close latency end-to-end from the stamps
-  // the v2 sub-updates carried across the wire.
+  // the sub-updates carried across the wire.
   const auto* detect = fleet.folded.find("e2e.detect_latency_ns");
   ASSERT_NE(detect, nullptr);
   EXPECT_GT(detect->hist.count, 0u);
@@ -594,6 +634,187 @@ TEST(FabricRebalance, MidStreamMigrationLosesNothing) {
   fs::remove_all(dir0);
   fs::remove_all(dir1);
   fs::remove_all(dir2);
+}
+
+// ---- wire bytes: one APPEND frame, sent and then replayed -------------
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out.push_back(digits[b >> 4]);
+    out.push_back(digits[b & 0xF]);
+  }
+  return out;
+}
+
+// One pre-stamped update that splits into three sub-updates (a
+// withdrawal first, then two announcements) on a single slot.
+FeedUpdate golden_update() {
+  FeedUpdate fu;
+  fu.platform = routing::Platform::kRouteViews;
+  fu.update.time = 1488326400;
+  fu.update.peer_ip = *net::IpAddr::parse("198.51.100.9");
+  fu.update.peer_asn = 1299;
+  fu.update.collector_id = 7;
+  fu.update.body.withdrawn.push_back(*net::Prefix::parse("203.0.113.0/24"));
+  fu.update.body.announced.push_back(*net::Prefix::parse("130.149.7.0/24"));
+  fu.update.body.announced.push_back(*net::Prefix::parse("130.149.8.1/32"));
+  fu.update.body.as_path = bgp::AsPath::of({1299, 64500});
+  fu.update.body.next_hop = *net::IpAddr::parse("198.51.100.1");
+  fu.update.body.communities.add(bgp::Community(65535, 666));
+  fu.ingest_ns = 0x0123456789ABCDEFull;
+  return fu;
+}
+
+// The APPEND body FabricRouter sends for golden_update(), with the
+// trace header (trace_id, origin_ns) zeroed.  Captured from the fabric
+// before lanes staged into one reused encode buffer and replayed whole
+// frames; both changes must leave every byte as it was.
+constexpr const char* kGoldenAppendBody =
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "00000003010000000058b60f0004c63364090000051300000007000000080004"
+    "18cb007100000123456789abcdef010000000058b60f0004c633640900000513"
+    "00000007000000270000001f4001010040020a0202000005130000fbf4400304"
+    "c6336401c00804ffff029a188295070123456789abcdef010000000058b60f00"
+    "04c63364090000051300000007000000280000001f4001010040020a02020000"
+    "05130000fbf4400304c6336401c00804ffff029a20829508010123456789abcd"
+    "ef";
+
+// Pushes golden_update() through a FabricRouter against a scripted
+// server and returns the two APPEND bodies it received: the first
+// connection takes the frame and hangs up without acking it; the
+// second answers HELLO with `resume_at` accepted and acks the resend.
+std::vector<std::vector<std::uint8_t>> send_and_replay(
+    std::uint64_t resume_at) {
+  auto listener = TcpListener::listen(0);
+  if (!listener) return {};
+  const std::uint16_t port = listener->port();
+  std::vector<std::vector<std::uint8_t>> bodies;
+  std::thread server([&] {
+    for (int round = 0; round < 2; ++round) {
+      auto conn = listener->accept();
+      if (!conn) return;
+      auto hello = conn->recv_frame();
+      if (!hello || hello->type != FrameType::kHello) return;
+      net::BufWriter hello_ack;
+      hello_ack.u8(kFabricVersion);
+      hello_ack.u64(round == 0 ? 0 : resume_at);
+      if (!conn->send_frame(FrameType::kHelloAck, hello_ack.data())) return;
+      auto append = conn->recv_frame();
+      if (!append || append->type != FrameType::kAppend) return;
+      bodies.push_back(append->body);
+      if (round == 0) continue;  // drop the connection, frame unacked
+      net::BufWriter ack;
+      ack.u64(3);  // accepted
+      ack.u64(0);  // durable
+      if (!conn->send_frame(FrameType::kAppendAck, ack.data())) return;
+      (void)conn->recv_frame();  // until the client hangs up
+    }
+  });
+  {
+    FabricConfig config;
+    config.endpoints.push_back(FabricEndpoint{"127.0.0.1", port});
+    FabricRouter router(config, 1, 1, nullptr);
+    router.push(0, golden_update());
+    router.flush(0);
+    EXPECT_EQ(router.reconnects(), 1u);
+  }
+  server.join();
+  return bodies;
+}
+
+// Checks the trace header of APPEND send `i` (a fresh trace id per
+// send: 1, then 2 for the resend; a wall-clock origin), then zeroes it.
+void check_and_clear_trace(std::vector<std::uint8_t>& body, std::size_t i) {
+  ASSERT_GE(body.size(), 36u);
+  net::BufReader r{std::span<const std::uint8_t>(body).subspan(8, 16)};
+  EXPECT_EQ(r.u64(), i + 1) << "send " << i;
+  EXPECT_NE(r.u64(), 0u) << "send " << i;
+  std::fill(body.begin() + 8, body.begin() + 24, 0);
+}
+
+TEST(FabricWire, AppendBodyMatchesGoldenOnSendAndReplay) {
+  auto bodies = send_and_replay(0);
+  ASSERT_EQ(bodies.size(), 2u);
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    check_and_clear_trace(bodies[i], i);
+    EXPECT_EQ(hex(bodies[i]), kGoldenAppendBody) << "send " << i;
+  }
+}
+
+TEST(FabricWire, FrameStraddlingAcceptedIsResentWhole) {
+  // The server already holds 2 of the frame's 3 sub-updates; the client
+  // resends the frame unchanged (base 0, count 3) and the server skips
+  // what it holds.
+  auto bodies = send_and_replay(2);
+  ASSERT_EQ(bodies.size(), 2u);
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    check_and_clear_trace(bodies[i], i);
+  }
+  EXPECT_EQ(hex(bodies[1]), hex(bodies[0]));
+  EXPECT_EQ(hex(bodies[1]), kGoldenAppendBody);
+}
+
+// ---- latency: a slow feed's closing update reaches the server ---------
+
+TEST(FabricLatency, ClosedEventQueryableWithoutFlush) {
+  const Baseline& base = baseline();
+  // An event of its own (peer, prefix, start): one detection, so one
+  // closed event.  Its opening announcement comes from the replay.
+  auto detections = [&](const PeerEvent& e) {
+    return std::count_if(
+        base.events.begin(), base.events.end(), [&](const PeerEvent& o) {
+          return o.peer == e.peer && o.prefix == e.prefix && o.start == e.start;
+        });
+  };
+  FeedUpdate open, close;
+  for (const PeerEvent& e : base.events) {
+    if (e.started_in_table_dump || detections(e) != 1) continue;
+    auto opens = [&](const FeedUpdate& u) {
+      const auto& a = u.update.body.announced;
+      return u.platform == e.platform && u.update.time == e.start &&
+             bgp::PeerKey{u.update.peer_ip, u.update.peer_asn} == e.peer &&
+             std::find(a.begin(), a.end(), e.prefix) != a.end();
+    };
+    auto it = std::find_if(base.updates.begin(), base.updates.end(), opens);
+    if (it == base.updates.end()) continue;
+    open = *it;
+    open.update.body.announced = {e.prefix};
+    open.update.body.withdrawn.clear();
+    close.platform = open.platform;
+    close.update.time = e.start + 60;
+    close.update.peer_ip = open.update.peer_ip;
+    close.update.peer_asn = open.update.peer_asn;
+    close.update.body.withdrawn = {e.prefix};
+    break;
+  }
+  ASSERT_FALSE(close.update.body.withdrawn.empty());
+
+  std::string dir = temp_dir("bgpbh_fabric_latency");
+  ServerProc server = ServerProc::spawn(dir, 1);
+  ASSERT_TRUE(server.valid());
+  {
+    api::AnalysisSession session(fabric_session_config(1, 1, {&server}));
+    ASSERT_TRUE(session.push(open));
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ASSERT_TRUE(session.push(close));
+    // No flush(), drain() or close(): the lane must send on its own.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    std::size_t seen = session.count();
+    while (seen == 0 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      seen = session.count();
+    }
+    EXPECT_EQ(seen, 1u);
+    session.close(study_config().window_end);
+    session.fabric()->shutdown_endpoints();
+  }
+  int status = server.wait_exit();
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  fs::remove_all(dir);
 }
 
 }  // namespace

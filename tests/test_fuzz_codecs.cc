@@ -596,7 +596,7 @@ TEST_P(FuzzSeedTest, TruncationSweepFleetTelemetry) {
   }
 }
 
-// ---- fabric sub-update codec: the v2 ingest trailer -------------------
+// ---- fabric sub-update codec: the ingest trailer ----------------------
 
 routing::FeedUpdate stamped_sub_update() {
   routing::FeedUpdate fu;
@@ -612,45 +612,40 @@ routing::FeedUpdate stamped_sub_update() {
   return fu;
 }
 
-TEST_P(FuzzSeedTest, SubUpdateV2RoundTripsIngestStampAndV1Truncates) {
+TEST_P(FuzzSeedTest, SubUpdateRoundTripsIngestStamp) {
   routing::FeedUpdate fu = stamped_sub_update();
   net::BufWriter w;
   fabric::encode_sub_update(fu, w);
-  {
-    // v2 lane: the trailer survives the wire.
-    net::BufReader r(w.data());
-    auto decoded = fabric::decode_sub_update(r, 2);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_TRUE(r.at_end());
-    EXPECT_TRUE(*decoded == fu);
-    EXPECT_EQ(decoded->ingest_ns, fu.ingest_ns);
-  }
-  {
-    // v1 lane: the sender truncates the trailer; a v1 decode of the
-    // truncated bytes consumes everything and leaves the stamp unset.
-    auto bytes = w.take();
-    bytes.resize(bytes.size() - fabric::kSubUpdateIngestTrailerBytes);
-    net::BufReader r(bytes);
-    auto decoded = fabric::decode_sub_update(r, 1);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_TRUE(r.at_end());
-    EXPECT_TRUE(*decoded == fu);  // ingest_ns excluded from equality
-    EXPECT_EQ(decoded->ingest_ns, 0u);
-  }
+  net::BufReader r(w.data());
+  auto decoded = fabric::decode_sub_update(r);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_TRUE(r.at_end());
+  EXPECT_TRUE(*decoded == fu);
+  EXPECT_EQ(decoded->ingest_ns, fu.ingest_ns);
 }
 
-TEST_P(FuzzSeedTest, SubUpdateDecoderSurvivesRandomInputBothVersions) {
+// The sub-update bytes, captured before the body was encoded in place
+// behind a patched length: the in-place patch must change no byte.
+TEST(SubUpdateWire, EncodingMatchesGoldenBytes) {
+  net::BufWriter w;
+  fabric::encode_sub_update(stamped_sub_update(), w);
+  std::string hex;
+  for (std::uint8_t b : w.data()) {
+    hex.push_back("0123456789abcdef"[b >> 4]);
+    hex.push_back("0123456789abcdef"[b & 0xF]);
+  }
+  EXPECT_EQ(hex,
+            "010000000058b60f0004c63364090000051300000000000000270000001f"
+            "4001010040020a0202000005130000fbf4400304c6336401c00804ffff02"
+            "9a188295070123456789abcdef");
+}
+
+TEST_P(FuzzSeedTest, SubUpdateDecoderSurvivesRandomInput) {
   util::Rng rng(GetParam() ^ 0x5B02);
   for (int i = 0; i < 3000; ++i) {
     auto bytes = random_bytes(rng, 512);
-    {
-      net::BufReader r(bytes);
-      (void)fabric::decode_sub_update(r, 1);
-    }
-    {
-      net::BufReader r(bytes);
-      (void)fabric::decode_sub_update(r, 2);
-    }
+    net::BufReader r(bytes);
+    (void)fabric::decode_sub_update(r);
   }
 }
 
@@ -662,7 +657,7 @@ TEST_P(FuzzSeedTest, TruncationSweepSubUpdateV2) {
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     std::vector<std::uint8_t> t(full.begin(), full.begin() + cut);
     net::BufReader r(t);
-    auto decoded = fabric::decode_sub_update(r, 2);
+    auto decoded = fabric::decode_sub_update(r);
     // A shorter input may still parse as a degenerate sub-update, but
     // never as the original (the trailer alone guarantees that for the
     // last 8 cuts).

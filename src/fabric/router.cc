@@ -152,20 +152,20 @@ bool FabricRouter::read_ack(Lane& ln, std::size_t slot) {
   if (!ln.inflight_meta.empty()) {
     const auto [trace_id, t0] = ln.inflight_meta.front();
     ln.inflight_meta.pop_front();
-    const std::uint64_t ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    if (rpc_ns_) rpc_ns_->record(ns);
-    if (metrics_) {
-      metrics_->trace().maybe_record("fabric.append",
-                                     static_cast<std::uint32_t>(slot), ns,
-                                     trace_id);
-    }
+    record_rpc(t0, "fabric.append", static_cast<std::uint32_t>(slot),
+               trace_id);
   }
   --ln.unacked;
   add_inflight(-1);
   prune_replay(ln, durable);
+  return true;
+}
+
+bool FabricRouter::reap_acks(Lane& ln, std::size_t slot) {
+  if (!ln.connected) return false;
+  while (ln.unacked > 0 && ln.conn.readable()) {
+    if (!read_ack(ln, slot)) return false;
+  }
   return true;
 }
 
@@ -244,6 +244,11 @@ void FabricRouter::ensure_connected(Lane& ln, std::size_t slot,
 void FabricRouter::send_batch(Lane& ln, std::size_t slot, std::size_t p) {
   if (ln.staged == 0) return;
   ensure_connected(ln, slot, p);
+  // Connection lost mid-window: reconnect resends every un-durable
+  // frame and drains it, leaving unacked == 0.
+  while (ln.unacked >= config_.max_inflight) {
+    if (!read_ack(ln, slot)) ensure_connected(ln, slot, p);
+  }
   const std::uint64_t trace_id =
       next_trace_id_.fetch_add(1, std::memory_order_relaxed);
   seal_append(ln.staging, trace_id, util::wall_clock_ns(), ln.sent,
@@ -261,11 +266,6 @@ void FabricRouter::send_batch(Lane& ln, std::size_t slot, std::size_t p) {
     return;
   }
   ln.inflight_meta.emplace_back(trace_id, std::chrono::steady_clock::now());
-  while (ln.unacked >= config_.max_inflight) {
-    // Connection lost mid-window: reconnect resends every un-durable
-    // frame and drains it, leaving unacked == 0.
-    if (!read_ack(ln, slot)) ensure_connected(ln, slot, p);
-  }
 }
 
 void FabricRouter::drain_lane(Lane& ln, std::size_t slot, std::size_t p) {
@@ -275,7 +275,7 @@ void FabricRouter::drain_lane(Lane& ln, std::size_t slot, std::size_t p) {
   }
 }
 
-void FabricRouter::stage_sub(std::size_t p, const routing::FeedUpdate& sub,
+bool FabricRouter::stage_sub(std::size_t p, const routing::FeedUpdate& sub,
                              std::size_t slot, std::uint64_t now_ns) {
   Lane& ln = lane(slot, p);
   if (ln.staged == 0) {
@@ -287,7 +287,9 @@ void FabricRouter::stage_sub(std::size_t p, const routing::FeedUpdate& sub,
         std::min(clock.publish_due_ns, now_ns + kMaxStagingNs);
   }
   encode_sub_update(sub, ln.staging);
-  if (++ln.staged >= config_.batch_subs) send_batch(ln, slot, p);
+  if (++ln.staged < config_.batch_subs) return false;
+  send_batch(ln, slot, p);
+  return true;
 }
 
 void FabricRouter::publish_staged(std::size_t p, std::uint64_t now_ns,
@@ -298,11 +300,14 @@ void FabricRouter::publish_staged(std::size_t p, std::uint64_t now_ns,
     std::shared_lock lock(*slot_mu_[slot]);
     Lane& ln = lane(slot, p);
     if (ln.staged == 0) continue;
-    if (all || now_ns - ln.staged_ns >= kMaxStagingNs) {
-      send_batch(ln, slot, p);
-    } else {
+    if (!all && now_ns - ln.staged_ns < kMaxStagingNs) {
       clock.publish_due_ns =
           std::min(clock.publish_due_ns, ln.staged_ns + kMaxStagingNs);
+    } else if (reap_acks(ln, slot) && ln.unacked >= config_.max_inflight) {
+      clock.publish_due_ns =  // look again later
+          std::min(clock.publish_due_ns, now_ns + kMaxStagingNs);
+    } else {
+      send_batch(ln, slot, p);
     }
   }
 }
@@ -324,6 +329,7 @@ bool FabricRouter::push(std::size_t p, const routing::FeedUpdate& update) {
   sub.update.collector_id = update.update.collector_id;
   sub.ingest_ns = stream::ingest_stamp(update, now);
   bgp::UpdateBody& sub_body = sub.update.body;
+  bool sent_full = false;
   stream::for_each_sub_update(
       update, num_slots_,
       [&](std::size_t slot, stream::SubKind kind, std::uint32_t index) {
@@ -340,16 +346,19 @@ bool FabricRouter::push(std::size_t p, const routing::FeedUpdate& update) {
           sub_body.announced.assign(1, body.announced[index]);
         }
         std::shared_lock lock(*slot_mu_[slot]);
-        stage_sub(p, sub, slot, now);
+        sent_full = stage_sub(p, sub, slot, now) || sent_full;
       });
   // The in-process producer's publish rules (StreamPipeline::Producer::
   // push).  A clock that steps back reads as a long silence: publish,
   // never hold.
   ProducerClock& clock = clocks_[p];
   const bool quiet = now - clock.last_push_ns >= kMaxStagingNs;
-  clock.last_push_ns = now;
   // A slow feed sends everything at once; otherwise only aged batches.
   if (quiet || now >= clock.publish_due_ns) publish_staged(p, now, quiet);
+  // Silence counts from when a push returns: a full batch may have
+  // waited on the window, and that wait is backpressure, not a quiet
+  // feed.
+  clock.last_push_ns = sent_full ? util::wall_clock_ns() : now;
   return true;
 }
 
@@ -368,6 +377,19 @@ void FabricRouter::drain_slot_locked(std::size_t slot) {
 
 // ---- control plane ----------------------------------------------------
 
+void FabricRouter::record_rpc(std::chrono::steady_clock::time_point t0,
+                              const char* label, std::uint32_t shard,
+                              std::uint64_t trace_id) {
+  const std::uint64_t ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  if (rpc_ns_) rpc_ns_->record(ns);
+  if (metrics_ && label != nullptr && trace_id != 0) {
+    metrics_->trace().maybe_record(label, shard, ns, trace_id);
+  }
+}
+
 std::optional<TcpConn::FramePayload> FabricRouter::control_rpc(
     std::size_t endpoint_index, FrameType type,
     const std::function<void(net::BufWriter&)>& build_body,
@@ -384,15 +406,7 @@ std::optional<TcpConn::FramePayload> FabricRouter::control_rpc(
     if (!conn->send_frame(type, body.data())) continue;
     auto reply = conn->recv_frame();
     if (!reply) continue;
-    const std::uint64_t ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    if (rpc_ns_) rpc_ns_->record(ns);
-    if (metrics_ && span.label != nullptr && span.trace_id != 0) {
-      metrics_->trace().maybe_record(span.label, span.shard, ns,
-                                     span.trace_id);
-    }
+    record_rpc(t0, span.label, span.shard, span.trace_id);
     // An ERROR or wrong-type reply is a protocol-level refusal, not a
     // transient network fault; retrying would only repeat it.
     if (reply->type != expect) return std::nullopt;
@@ -439,7 +453,6 @@ bool FabricRouter::checkpoint_all() {
 
 void FabricRouter::close(util::SimTime end_time) {
   if (closed_.exchange(true, std::memory_order_acq_rel)) return;
-  for (std::size_t p = 0; p < num_producers_; ++p) flush(p);
   bool all_ok = true;
   for (std::size_t slot = 0; slot < num_slots_; ++slot) {
     std::unique_lock lock(*slot_mu_[slot]);

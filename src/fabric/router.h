@@ -12,11 +12,9 @@
 //   * batches them per (slot, producer) lane into APPEND frames with a
 //     bounded in-flight window (at most `max_inflight` unacked frames
 //     per lane; a full window blocks the producer — backpressure,
-//     never loss).  A lane sends when `batch_subs` sub-updates are
-//     staged, when its oldest has waited
-//     stream::StreamPipeline::Producer::kMaxStaging, or at once when a
-//     push follows kMaxStaging of that producer's silence — the
-//     in-process producer's rules, so a slow feed is never held back,
+//     never loss).  A frame goes out full, or early by the in-process
+//     producer's kMaxStaging rules (publish_staged), so a slow feed is
+//     never held back,
 //   * survives connection loss ReconnectingSource-style: redial with
 //     util::RetryPolicy backoff, HELLO returns the server's accepted
 //     sub-update count for the lane, and every retained APPEND frame
@@ -208,12 +206,17 @@ class FabricRouter {
 
   // All lane operations require the caller to hold slot's lock (shared
   // for the owning producer, unique for control paths).
-  void stage_sub(std::size_t p, const routing::FeedUpdate& sub,
+  // True when the sub-update filled the batch and sent it.
+  bool stage_sub(std::size_t p, const routing::FeedUpdate& sub,
                  std::size_t slot, std::uint64_t now_ns);
-  // Sends producer p's staged batches: every non-empty one when `all`,
-  // else those whose oldest sub-update has waited kMaxStaging.  Takes
-  // each slot's lock shared.
+  // Sends producer p's staged batches early: every non-empty one when
+  // `all` (a push after kMaxStaging of silence), else those whose oldest
+  // sub-update has waited kMaxStaging.  Only a full batch waits on the
+  // window: an early one is sent into a window with room (the acks
+  // already back are read first) or keeps filling.  Takes each slot's
+  // lock shared.
   void publish_staged(std::size_t p, std::uint64_t now_ns, bool all);
+  // Seals and sends the staged batch once the window has room.
   void send_batch(Lane& ln, std::size_t slot, std::size_t p);
   // Sends one APPEND body and counts it in flight; false (and the lane
   // marked disconnected) when the send fails.
@@ -222,6 +225,8 @@ class FabricRouter {
   // prunes the replay buffer.  False (and the lane marked disconnected)
   // on connection loss or a malformed ack.
   bool read_ack(Lane& ln, std::size_t slot);
+  // read_ack for every ack already waiting; false if it must reconnect.
+  bool reap_acks(Lane& ln, std::size_t slot);
   void drain_lane(Lane& ln, std::size_t slot, std::size_t p);
   static void prune_replay(Lane& ln, std::uint64_t durable);
   // Moves the fleet-wide unacked-frame count and its gauge by `delta`.
@@ -229,10 +234,14 @@ class FabricRouter {
   void ensure_connected(Lane& ln, std::size_t slot, std::size_t p);
   bool try_connect(Lane& ln, std::size_t slot, std::size_t p);
 
-  // Optional trace attribution for a control RPC: when label and
-  // trace_id are set, the RPC's round trip is offered to the local
-  // TraceRing so fleet_telemetry() can stitch it against the
-  // server-side span bound to the same id.
+  // Records an RPC's round trip since `t0` in fabric.rpc_ns and, when
+  // label and trace_id are set, offers it to the local TraceRing so
+  // fleet_telemetry() can stitch it against the server-side span bound
+  // to the same id.
+  void record_rpc(std::chrono::steady_clock::time_point t0,
+                  const char* label, std::uint32_t shard,
+                  std::uint64_t trace_id);
+  // Optional trace attribution for a control RPC (see record_rpc).
   struct ControlSpan {
     const char* label = nullptr;
     std::uint32_t shard = 0;

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -51,6 +52,11 @@ void TcpConn::close() {
 
 void TcpConn::shutdown() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
+bool TcpConn::readable() const {
+  pollfd pfd{fd_, POLLIN, 0};
+  return fd_ >= 0 && ::poll(&pfd, 1, 0) > 0;
 }
 
 bool TcpConn::send_all(const std::uint8_t* p, std::size_t n) {

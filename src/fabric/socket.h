@@ -39,6 +39,8 @@ class TcpConn {
   void close();
   // Half-close from another thread; wakes a blocked recv.
   void shutdown();
+  // True when a recv would not block: data, EOF or an error is waiting.
+  bool readable() const;
 
   struct FramePayload {
     FrameType type;

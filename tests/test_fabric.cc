@@ -756,6 +756,74 @@ TEST(FabricWire, FrameStraddlingAcceptedIsResentWhole) {
   EXPECT_EQ(hex(bodies[1]), kGoldenAppendBody);
 }
 
+// ---- window: slow acks do not shrink frames ---------------------------
+
+TEST(FabricWindow, DelayedAcksStillFillFrames) {
+  // A scripted server acks each APPEND 4 ms after reading it, so a fast
+  // feed keeps the lane's window full.  Waiting on the window is
+  // backpressure, not a quiet feed: frames must keep filling toward
+  // batch_subs instead of going out one sub-update each as acks return.
+  auto listener = TcpListener::listen(0);
+  ASSERT_TRUE(listener);
+  const std::uint16_t port = listener->port();
+  std::vector<std::uint32_t> counts;  // sub-updates per APPEND frame
+  std::thread server([&] {
+    auto conn = listener->accept();
+    if (!conn) return;
+    auto hello = conn->recv_frame();
+    if (!hello || hello->type != FrameType::kHello) return;
+    net::BufWriter hello_ack;
+    hello_ack.u8(kFabricVersion);
+    hello_ack.u64(0);
+    if (!conn->send_frame(FrameType::kHelloAck, hello_ack.data())) return;
+    std::uint64_t accepted = 0;
+    while (auto append = conn->recv_frame()) {
+      if (append->type != FrameType::kAppend || append->body.size() < 36) {
+        return;
+      }
+      // Header: slot, producer, trace_id, origin_ns, base, then count.
+      net::BufReader r{
+          std::span<const std::uint8_t>(append->body).subspan(32, 4)};
+      counts.push_back(r.u32());
+      accepted += counts.back();
+      std::this_thread::sleep_for(std::chrono::milliseconds(4));
+      net::BufWriter ack;
+      ack.u64(accepted);
+      ack.u64(0);  // durable
+      if (!conn->send_frame(FrameType::kAppendAck, ack.data())) return;
+    }
+  });
+  constexpr std::uint32_t kUpdates = 1024;
+  FabricConfig config;
+  config.endpoints.push_back(FabricEndpoint{"127.0.0.1", port});
+  {
+    FabricRouter router(config, 1, 1, nullptr);
+    FeedUpdate fu = golden_update();
+    fu.update.body.withdrawn.clear();
+    for (std::uint32_t i = 0; i < kUpdates; ++i) {
+      const std::string prefix = "10." + std::to_string(i / 256) + "." +
+                                 std::to_string(i % 256) + ".0/24";
+      fu.update.body.announced.assign(1, *net::Prefix::parse(prefix));
+      ASSERT_TRUE(router.push(0, fu));
+    }
+    router.flush(0);
+  }
+  server.join();
+  std::uint64_t total = 0;
+  std::size_t partial = 0;
+  for (std::uint32_t c : counts) {
+    total += c;
+    if (c < config.batch_subs) ++partial;
+  }
+  EXPECT_EQ(total, kUpdates);
+  ASSERT_FALSE(counts.empty());
+  // Ideally 17 frames: the first push follows silence and goes out
+  // alone, 15 full, and flush() sends the rest.  A preempted producer
+  // may add an early send now and then; one-update frames may not.
+  EXPECT_GE(total / counts.size(), config.batch_subs / 2)
+      << counts.size() << " frames, " << partial << " partial";
+}
+
 // ---- latency: a slow feed's closing update reaches the server ---------
 
 TEST(FabricLatency, ClosedEventQueryableWithoutFlush) {

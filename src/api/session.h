@@ -81,7 +81,7 @@ struct SessionConfig {
 
   // Data plane shape; forwarded to stream::PipelineConfig.  Zero
   // shards or producers mean one.  batch_size bounds queue transfers,
-  // not latency (see stream::StreamPipeline::Producer::kMaxStaging).
+  // not latency (see stream::kMaxStaging in stream/staging.h).
   std::size_t num_shards = 4;
   std::size_t num_producers = 1;
   std::size_t queue_capacity = 4096;
@@ -267,7 +267,7 @@ class AnalysisSession {
   void start();
   bool push(const routing::FeedUpdate& update, std::size_t producer = 0);
   // Hand `producer`'s staged updates to the shard workers now.  A later
-  // push publishes anything staged for Producer::kMaxStaging, so only a
+  // push publishes anything staged for stream::kMaxStaging, so only a
   // feed that stops in the middle of a burst needs this.
   void flush(std::size_t producer = 0);
   std::uint64_t feed(stream::UpdateSource& source);

@@ -1,20 +1,35 @@
 #include "bgp/update.h"
 
-#include <cassert>
-
 namespace bgpbh::bgp {
 
 namespace {
 
-// NLRI encoding: length octet + ceil(len/8) address bytes.
-void encode_nlri_v4(const net::Prefix& p, net::BufWriter& w) {
-  assert(p.is_v4());
-  w.u8(p.len());
-  std::uint32_t v = p.addr().v4().value();
-  unsigned nbytes = (p.len() + 7) / 8;
-  for (unsigned i = 0; i < nbytes; ++i) {
-    w.u8(static_cast<std::uint8_t>(v >> (24 - 8 * i)));
+// NLRI encoding of the IPv4 (`v4`) or IPv6 prefixes among `prefixes`,
+// in order: length octet + ceil(len/8) address bytes each.
+void encode_nlri(std::span<const net::Prefix> prefixes, bool v4,
+                 net::BufWriter& w) {
+  for (const auto& p : prefixes) {
+    if (p.is_v4() != v4) continue;
+    w.u8(p.len());
+    const unsigned nbytes = (p.len() + 7) / 8;
+    if (v4) {
+      const std::uint32_t v = p.addr().v4().value();
+      for (unsigned i = 0; i < nbytes; ++i) {
+        w.u8(static_cast<std::uint8_t>(v >> (24 - 8 * i)));
+      }
+    } else {
+      w.bytes(std::span(p.addr().v6().bytes()).first(nbytes));
+    }
   }
+}
+
+// The size encode_nlri writes.
+std::size_t nlri_bytes(std::span<const net::Prefix> prefixes, bool v4) {
+  std::size_t n = 0;
+  for (const auto& p : prefixes) {
+    if (p.is_v4() == v4) n += 1 + (p.len() + 7) / 8;
+  }
+  return n;
 }
 
 std::optional<net::Prefix> decode_nlri_v4(net::BufReader& r) {
@@ -28,14 +43,6 @@ std::optional<net::Prefix> decode_nlri_v4(net::BufReader& r) {
     v = (v << 8) | (i < nbytes ? b[i] : 0);
   }
   return net::Prefix(net::Ipv4Addr(v), len);
-}
-
-void encode_nlri_v6(const net::Prefix& p, net::BufWriter& w) {
-  assert(!p.is_v4());
-  w.u8(p.len());
-  unsigned nbytes = (p.len() + 7) / 8;
-  const auto& bytes = p.addr().v6().bytes();
-  for (unsigned i = 0; i < nbytes; ++i) w.u8(bytes[i]);
 }
 
 std::optional<net::Prefix> decode_nlri_v6(net::BufReader& r) {
@@ -69,93 +76,79 @@ constexpr std::uint8_t kFlagOptional = 0x80;
 
 }  // namespace
 
-void encode_update_body(const UpdateBody& body, net::BufWriter& w) {
+void encode_update_body(std::span<const net::Prefix> announced,
+                        std::span<const net::Prefix> withdrawn,
+                        const UpdateBody& attrs, net::BufWriter& w) {
+  // Written in place: every length but the attribute section's is known
+  // up front, and that one is a placeholder patched at the end.
   // Withdrawn routes (IPv4 only at top level).
-  net::BufWriter withdrawn;
-  for (const auto& p : body.withdrawn) {
-    if (p.is_v4()) encode_nlri_v4(p, withdrawn);
-  }
-  w.u16(static_cast<std::uint16_t>(withdrawn.size()));
-  w.bytes(withdrawn.data());
+  w.u16(static_cast<std::uint16_t>(nlri_bytes(withdrawn, true)));
+  encode_nlri(withdrawn, true, w);
 
   // Path attributes.
-  net::BufWriter attrs;
-  bool has_announce = !body.announced.empty();
-  if (has_announce) {
-    attrs.u8(kFlagTransitive);
-    attrs.u8(kAttrOrigin);
-    attrs.u8(1);
-    attrs.u8(static_cast<std::uint8_t>(body.origin));
+  const std::size_t attrs_pos = w.size();
+  w.u16(0);
+  if (!announced.empty()) {
+    w.u8(kFlagTransitive);
+    w.u8(kAttrOrigin);
+    w.u8(1);
+    w.u8(static_cast<std::uint8_t>(attrs.origin));
 
     // AS_PATH: one AS_SEQUENCE segment, 4-byte ASNs (AS4 capable peers).
-    net::BufWriter pathbuf;
-    if (!body.as_path.empty()) {
-      pathbuf.u8(2);  // AS_SEQUENCE
-      pathbuf.u8(static_cast<std::uint8_t>(body.as_path.length()));
-      for (Asn a : body.as_path.hops()) pathbuf.u32(a);
+    const auto& hops = attrs.as_path.hops();
+    attr_header(w, kFlagTransitive, kAttrAsPath,
+                hops.empty() ? 0 : 2 + 4 * hops.size());
+    if (!hops.empty()) {
+      w.u8(2);  // AS_SEQUENCE
+      w.u8(static_cast<std::uint8_t>(attrs.as_path.length()));
+      for (Asn a : hops) w.u32(a);
     }
-    attr_header(attrs, kFlagTransitive, kAttrAsPath, pathbuf.size());
-    attrs.bytes(pathbuf.data());
 
-    if (body.next_hop && body.next_hop->is_v4()) {
-      attr_header(attrs, kFlagTransitive, kAttrNextHop, 4);
-      attrs.u32(body.next_hop->v4().value());
+    if (attrs.next_hop && attrs.next_hop->is_v4()) {
+      attr_header(w, kFlagTransitive, kAttrNextHop, 4);
+      w.u32(attrs.next_hop->v4().value());
     }
   }
-  if (!body.communities.classic().empty()) {
-    attr_header(attrs, kFlagOptTransitive, kAttrCommunities,
-                body.communities.classic().size() * 4);
-    for (auto c : body.communities.classic()) attrs.u32(c.raw());
+  if (!attrs.communities.classic().empty()) {
+    attr_header(w, kFlagOptTransitive, kAttrCommunities,
+                attrs.communities.classic().size() * 4);
+    for (auto c : attrs.communities.classic()) w.u32(c.raw());
   }
-  if (!body.communities.large().empty()) {
-    attr_header(attrs, kFlagOptTransitive, kAttrLargeCommunities,
-                body.communities.large().size() * 12);
-    for (auto c : body.communities.large()) {
-      attrs.u32(c.global_admin());
-      attrs.u32(c.local1());
-      attrs.u32(c.local2());
+  if (!attrs.communities.large().empty()) {
+    attr_header(w, kFlagOptTransitive, kAttrLargeCommunities,
+                attrs.communities.large().size() * 12);
+    for (auto c : attrs.communities.large()) {
+      w.u32(c.global_admin());
+      w.u32(c.local1());
+      w.u32(c.local2());
     }
   }
-  // MP_REACH / MP_UNREACH for IPv6.
-  net::BufWriter v6ann, v6wd;
-  for (const auto& p : body.announced) {
-    if (!p.is_v4()) encode_nlri_v6(p, v6ann);
-  }
-  for (const auto& p : body.withdrawn) {
-    if (!p.is_v4()) encode_nlri_v6(p, v6wd);
-  }
-  if (v6ann.size() > 0) {
-    // AFI(2)=IPv6, SAFI(1)=unicast, nexthop-len, nexthop, reserved, NLRI.
-    net::BufWriter mp;
-    mp.u16(2);
-    mp.u8(1);
-    if (body.next_hop && body.next_hop->is_v6()) {
-      mp.u8(16);
-      mp.bytes(body.next_hop->v6().bytes());
+  // MP_REACH / MP_UNREACH for IPv6: AFI(2)=IPv6, SAFI(1)=unicast, then
+  // (MP_REACH only) next-hop length, next hop and a reserved byte.
+  if (const std::size_t nlri = nlri_bytes(announced, false); nlri > 0) {
+    const bool v6_hop = attrs.next_hop && attrs.next_hop->is_v6();
+    attr_header(w, kFlagOptional, kAttrMpReachNlri,
+                2 + 1 + 1 + (v6_hop ? 16 : 0) + 1 + nlri);
+    w.u16(2);
+    w.u8(1);
+    if (v6_hop) {
+      w.u8(16);
+      w.bytes(attrs.next_hop->v6().bytes());
     } else {
-      mp.u8(0);
+      w.u8(0);
     }
-    mp.u8(0);  // reserved
-    mp.bytes(v6ann.data());
-    attr_header(attrs, kFlagOptional, kAttrMpReachNlri, mp.size());
-    attrs.bytes(mp.data());
+    w.u8(0);  // reserved
+    encode_nlri(announced, false, w);
   }
-  if (v6wd.size() > 0) {
-    net::BufWriter mp;
-    mp.u16(2);
-    mp.u8(1);
-    mp.bytes(v6wd.data());
-    attr_header(attrs, kFlagOptional, kAttrMpUnreachNlri, mp.size());
-    attrs.bytes(mp.data());
+  if (const std::size_t nlri = nlri_bytes(withdrawn, false); nlri > 0) {
+    attr_header(w, kFlagOptional, kAttrMpUnreachNlri, 2 + 1 + nlri);
+    w.u16(2);
+    w.u8(1);
+    encode_nlri(withdrawn, false, w);
   }
+  w.patch_u16(attrs_pos, static_cast<std::uint16_t>(w.size() - attrs_pos - 2));
 
-  w.u16(static_cast<std::uint16_t>(attrs.size()));
-  w.bytes(attrs.data());
-
-  // IPv4 NLRI.
-  for (const auto& p : body.announced) {
-    if (p.is_v4()) encode_nlri_v4(p, w);
-  }
+  encode_nlri(announced, true, w);  // IPv4 NLRI
 }
 
 std::optional<UpdateBody> decode_update_body(net::BufReader& r) {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,7 +55,14 @@ struct ObservedUpdate {
 // in MP_REACH/MP_UNREACH attributes (RFC 4760), which we implement in
 // the reduced form used by route collectors.
 
-void encode_update_body(const UpdateBody& body, net::BufWriter& w);
+// The overload writes `announced` and `withdrawn` with the route
+// attributes of `attrs` (not its prefixes): a split-off sub-update.
+void encode_update_body(std::span<const net::Prefix> announced,
+                        std::span<const net::Prefix> withdrawn,
+                        const UpdateBody& attrs, net::BufWriter& w);
+inline void encode_update_body(const UpdateBody& body, net::BufWriter& w) {
+  encode_update_body(body.announced, body.withdrawn, body, w);
+}
 
 // Returns nullopt on malformed input. Strict about attribute lengths.
 std::optional<UpdateBody> decode_update_body(net::BufReader& r);

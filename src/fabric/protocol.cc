@@ -5,21 +5,31 @@
 
 namespace bgpbh::fabric {
 
-void encode_sub_update(const routing::FeedUpdate& fu, net::BufWriter& out) {
-  out.u8(static_cast<std::uint8_t>(fu.platform));
-  out.u64(static_cast<std::uint64_t>(fu.update.time));
-  storage::encode_ip(fu.update.peer_ip, out);
-  out.u32(fu.update.peer_asn);
-  out.u32(fu.update.collector_id);
+void encode_sub_update(const routing::FeedUpdate& update,
+                       stream::SubKind kind, std::uint32_t index,
+                       std::uint64_t ingest_ns, net::BufWriter& out) {
+  out.u8(static_cast<std::uint8_t>(update.platform));
+  out.u64(static_cast<std::uint64_t>(update.update.time));
+  storage::encode_ip(update.update.peer_ip, out);
+  out.u32(update.update.peer_asn);
+  out.u32(update.update.collector_id);
   // The UPDATE body codec treats "rest of input" as NLRI, so it needs
   // an explicit length prefix to know where this sub-update ends: the
   // body is encoded in place behind a placeholder that is patched after.
   const std::size_t len_pos = out.size();
   out.u32(0);
-  bgp::encode_update_body(fu.update.body, out);
+  const bgp::UpdateBody& body = update.update.body;
+  if (kind == stream::SubKind::kWithdraw) {
+    static const bgp::UpdateBody kNoAttributes;
+    bgp::encode_update_body({}, std::span(&body.withdrawn[index], 1),
+                            kNoAttributes, out);
+  } else {
+    bgp::encode_update_body(std::span(&body.announced[index], 1), {}, body,
+                            out);
+  }
   out.patch_u32(len_pos,
                 static_cast<std::uint32_t>(out.size() - len_pos - 4));
-  out.u64(fu.ingest_ns);
+  out.u64(ingest_ns);
 }
 
 std::optional<routing::FeedUpdate> decode_sub_update(net::BufReader& in) {

@@ -28,6 +28,7 @@
 
 #include "net/bytes.h"
 #include "routing/collectors.h"
+#include "stream/update_block.h"
 
 namespace bgpbh::fabric {
 
@@ -73,14 +74,17 @@ enum class FrameType : std::uint8_t {
 };
 
 // ---- sub-update codec -------------------------------------------------
-// One single-prefix FeedUpdate, exactly as the client-side splitter
-// materializes it (withdrawals carry no route attributes).  The body
-// reuses the BGP UPDATE codec, so path attributes round-trip through
-// the same fuzz-hardened decoder the MRT replay path uses.
+// The single-prefix sub-update (kind, index) of `update`, as
+// stream::for_each_sub_update yields it, encoded in place (withdrawals
+// carry no route attributes) and decoded as a one-prefix FeedUpdate.
+// The body reuses the BGP UPDATE codec, so path attributes round-trip
+// through the same fuzz-hardened decoder the MRT replay path uses.
 //
 // Layout: u8 platform | u64 time | ip peer | u32 peer_asn |
 // u32 collector_id | u32 body_len | UPDATE body | u64 ingest_ns.
-void encode_sub_update(const routing::FeedUpdate& fu, net::BufWriter& out);
+void encode_sub_update(const routing::FeedUpdate& update,
+                       stream::SubKind kind, std::uint32_t index,
+                       std::uint64_t ingest_ns, net::BufWriter& out);
 std::optional<routing::FeedUpdate> decode_sub_update(net::BufReader& in);
 
 // ---- APPEND body ------------------------------------------------------

@@ -9,7 +9,6 @@
 #include "bgp/rib.h"
 #include "storage/record_codec.h"
 #include "storage/wire.h"
-#include "stream/pipeline.h"
 #include "stream/shard_router.h"
 
 namespace bgpbh::fabric {
@@ -19,10 +18,6 @@ namespace {
 std::string describe_endpoint(const FabricEndpoint& ep) {
   return ep.host + ":" + std::to_string(ep.port);
 }
-
-constexpr std::uint64_t kMaxStagingNs = static_cast<std::uint64_t>(
-    std::chrono::nanoseconds(stream::StreamPipeline::Producer::kMaxStaging)
-        .count());
 
 // HELLO handshake on a fresh connection: the server's accepted count
 // for the lane (0 on a control lane), or nullopt on failure or refusal.
@@ -75,7 +70,7 @@ FabricRouter::FabricRouter(FabricConfig config, std::size_t num_slots,
   for (std::size_t i = 0; i < num_slots_ * num_producers_; ++i) {
     lanes_.push_back(std::make_unique<Lane>());
   }
-  clocks_.resize(num_producers_);
+  staging_.assign(num_producers_, stream::StagingRule(num_slots_));
   metrics_ = metrics;
   if (metrics) {
     metrics->describe("fabric.router.batches",
@@ -158,14 +153,6 @@ bool FabricRouter::read_ack(Lane& ln, std::size_t slot) {
   --ln.unacked;
   add_inflight(-1);
   prune_replay(ln, durable);
-  return true;
-}
-
-bool FabricRouter::reap_acks(Lane& ln, std::size_t slot) {
-  if (!ln.connected) return false;
-  while (ln.unacked > 0 && ln.conn.readable()) {
-    if (!read_ack(ln, slot)) return false;
-  }
   return true;
 }
 
@@ -275,90 +262,51 @@ void FabricRouter::drain_lane(Lane& ln, std::size_t slot, std::size_t p) {
   }
 }
 
-bool FabricRouter::stage_sub(std::size_t p, const routing::FeedUpdate& sub,
-                             std::size_t slot, std::uint64_t now_ns) {
-  Lane& ln = lane(slot, p);
-  if (ln.staged == 0) {
-    begin_append(ln.staging, static_cast<std::uint32_t>(slot),
-                 static_cast<std::uint32_t>(p));
-    ln.staged_ns = now_ns;
-    ProducerClock& clock = clocks_[p];
-    clock.publish_due_ns =
-        std::min(clock.publish_due_ns, now_ns + kMaxStagingNs);
-  }
-  encode_sub_update(sub, ln.staging);
-  if (++ln.staged < config_.batch_subs) return false;
-  send_batch(ln, slot, p);
-  return true;
-}
-
-void FabricRouter::publish_staged(std::size_t p, std::uint64_t now_ns,
-                                  bool all) {
-  ProducerClock& clock = clocks_[p];
-  clock.publish_due_ns = UINT64_MAX;
-  for (std::size_t slot = 0; slot < num_slots_; ++slot) {
-    std::shared_lock lock(*slot_mu_[slot]);
-    Lane& ln = lane(slot, p);
-    if (ln.staged == 0) continue;
-    if (!all && now_ns - ln.staged_ns < kMaxStagingNs) {
-      clock.publish_due_ns =
-          std::min(clock.publish_due_ns, ln.staged_ns + kMaxStagingNs);
-    } else if (reap_acks(ln, slot) && ln.unacked >= config_.max_inflight) {
-      clock.publish_due_ns =  // look again later
-          std::min(clock.publish_due_ns, now_ns + kMaxStagingNs);
-    } else {
-      send_batch(ln, slot, p);
-    }
-  }
-}
-
 bool FabricRouter::push(std::size_t p, const routing::FeedUpdate& update) {
   if (closed_.load(std::memory_order_acquire)) return false;
   updates_pushed_.fetch_add(1, std::memory_order_relaxed);
   const bgp::UpdateBody& body = update.update.body;
   if (body.withdrawn.empty() && body.announced.empty()) return true;
   const std::uint64_t now = util::wall_clock_ns();
-  // The wire carries one single-prefix FeedUpdate per sub-update, split
-  // and stamped exactly as stream::ShardRouter does; a withdrawal
-  // sub-update carries no route attributes.
-  routing::FeedUpdate sub;
-  sub.platform = update.platform;
-  sub.update.time = update.update.time;
-  sub.update.peer_ip = update.update.peer_ip;
-  sub.update.peer_asn = update.update.peer_asn;
-  sub.update.collector_id = update.update.collector_id;
-  sub.ingest_ns = stream::ingest_stamp(update, now);
-  bgp::UpdateBody& sub_body = sub.update.body;
+  // Split and stamped exactly as stream::ShardRouter does, and encoded
+  // straight from `update` into the lane's frame.
+  const std::uint64_t ingest_ns = stream::ingest_stamp(update, now);
+  stream::StagingRule& staging = staging_[p];
   bool sent_full = false;
   stream::for_each_sub_update(
       update, num_slots_,
       [&](std::size_t slot, stream::SubKind kind, std::uint32_t index) {
-        if (kind == stream::SubKind::kWithdraw) {
-          sub_body.withdrawn.assign(1, body.withdrawn[index]);
-        } else {
-          if (sub_body.announced.empty()) {  // first announcement
-            sub_body.withdrawn.clear();
-            sub_body.as_path = body.as_path;
-            sub_body.communities = body.communities;
-            sub_body.next_hop = body.next_hop;
-            sub_body.origin = body.origin;
-          }
-          sub_body.announced.assign(1, body.announced[index]);
-        }
         std::shared_lock lock(*slot_mu_[slot]);
-        sent_full = stage_sub(p, sub, slot, now) || sent_full;
+        Lane& ln = lane(slot, p);
+        if (ln.staged == 0) {
+          begin_append(ln.staging, static_cast<std::uint32_t>(slot),
+                       static_cast<std::uint32_t>(p));
+          staging.first_staged(slot, now);
+        }
+        encode_sub_update(update, kind, index, ingest_ns, ln.staging);
+        if (++ln.staged < config_.batch_subs) return;
+        send_batch(ln, slot, p);
+        sent_full = true;
       });
-  // The in-process producer's publish rules (StreamPipeline::Producer::
-  // push).  A clock that steps back reads as a long silence: publish,
-  // never hold.
-  ProducerClock& clock = clocks_[p];
-  const bool quiet = now - clock.last_push_ns >= kMaxStagingNs;
-  // A slow feed sends everything at once; otherwise only aged batches.
-  if (quiet || now >= clock.publish_due_ns) publish_staged(p, now, quiet);
-  // Silence counts from when a push returns: a full batch may have
-  // waited on the window, and that wait is backpressure, not a quiet
-  // feed.
-  clock.last_push_ns = sent_full ? util::wall_clock_ns() : now;
+  staging.end_push(
+      now, sent_full,
+      [&](std::size_t slot) {
+        std::shared_lock lock(*slot_mu_[slot]);
+        return lane(slot, p).staged != 0;
+      },
+      [&](std::size_t slot) {
+        // Only a full batch waits on the window: an early one goes into
+        // a window with room once the acks already back are read, else
+        // it keeps filling.  A lost connection sends, which reconnects.
+        std::shared_lock lock(*slot_mu_[slot]);
+        Lane& ln = lane(slot, p);
+        while (ln.connected && ln.unacked > 0 && ln.conn.readable() &&
+               read_ack(ln, slot)) {
+        }
+        if (ln.connected && ln.unacked >= config_.max_inflight) return false;
+        send_batch(ln, slot, p);
+        return true;
+      });
   return true;
 }
 

@@ -9,11 +9,12 @@
 //     stream::for_each_sub_update — the in-process router's own split
 //     (withdrawals first), so per-key transition order is identical to
 //     the in-process plane by construction,
-//   * batches them per (slot, producer) lane into APPEND frames with a
-//     bounded in-flight window (at most `max_inflight` unacked frames
-//     per lane; a full window blocks the producer — backpressure,
-//     never loss).  A frame goes out full, or early by the in-process
-//     producer's kMaxStaging rules (publish_staged), so a slow feed is
+//   * encodes each sub-update straight from the pushed update into its
+//     (slot, producer) lane's APPEND frame, with a bounded in-flight
+//     window (at most `max_inflight` unacked frames per lane; a full
+//     window blocks the producer — backpressure, never loss).  A frame
+//     goes out full, or early by the in-process producer's StagingRule
+//     (stream/staging.h) into a window with room, so a slow feed is
 //     never held back,
 //   * survives connection loss ReconnectingSource-style: redial with
 //     util::RetryPolicy backoff, HELLO returns the server's accepted
@@ -62,6 +63,7 @@
 #include "fabric/placement.h"
 #include "fabric/protocol.h"
 #include "fabric/socket.h"
+#include "stream/staging.h"
 #include "telemetry/fleet.h"
 #include "telemetry/metrics.h"
 #include "util/retry.h"
@@ -179,7 +181,6 @@ class FabricRouter {
     // frame, so staging allocates nothing once it has grown.
     net::BufWriter staging;
     std::uint32_t staged = 0;
-    std::uint64_t staged_ns = 0;  // wall clock when the first was staged
     // Sealed frames, oldest first, covering at least [durable, sent):
     // the resend source after a reconnect.
     std::deque<ReplayFrame> replay;
@@ -191,14 +192,6 @@ class FabricRouter {
         inflight_meta;
   };
 
-  // Staging clock of one producer, touched only by its own thread.
-  struct ProducerClock {
-    std::uint64_t last_push_ns = 0;
-    // Earliest staged_ns + kMaxStaging over the producer's lanes; may
-    // be early (never late) after a batch went out full.
-    std::uint64_t publish_due_ns = UINT64_MAX;
-  };
-
   Lane& lane(std::size_t slot, std::size_t p) {
     return *lanes_[slot * num_producers_ + p];
   }
@@ -206,16 +199,6 @@ class FabricRouter {
 
   // All lane operations require the caller to hold slot's lock (shared
   // for the owning producer, unique for control paths).
-  // True when the sub-update filled the batch and sent it.
-  bool stage_sub(std::size_t p, const routing::FeedUpdate& sub,
-                 std::size_t slot, std::uint64_t now_ns);
-  // Sends producer p's staged batches early: every non-empty one when
-  // `all` (a push after kMaxStaging of silence), else those whose oldest
-  // sub-update has waited kMaxStaging.  Only a full batch waits on the
-  // window: an early one is sent into a window with room (the acks
-  // already back are read first) or keeps filling.  Takes each slot's
-  // lock shared.
-  void publish_staged(std::size_t p, std::uint64_t now_ns, bool all);
   // Seals and sends the staged batch once the window has room.
   void send_batch(Lane& ln, std::size_t slot, std::size_t p);
   // Sends one APPEND body and counts it in flight; false (and the lane
@@ -225,8 +208,6 @@ class FabricRouter {
   // prunes the replay buffer.  False (and the lane marked disconnected)
   // on connection loss or a malformed ack.
   bool read_ack(Lane& ln, std::size_t slot);
-  // read_ack for every ack already waiting; false if it must reconnect.
-  bool reap_acks(Lane& ln, std::size_t slot);
   void drain_lane(Lane& ln, std::size_t slot, std::size_t p);
   static void prune_replay(Lane& ln, std::uint64_t durable);
   // Moves the fleet-wide unacked-frame count and its gauge by `delta`.
@@ -266,7 +247,8 @@ class FabricRouter {
   std::vector<std::size_t> placement_;  // slot -> endpoint index
   std::vector<std::unique_ptr<std::shared_mutex>> slot_mu_;
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::vector<ProducerClock> clocks_;  // one per producer
+  // One per producer, over its lanes; touched only by its own thread.
+  std::vector<stream::StagingRule> staging_;
   std::atomic<std::uint64_t> updates_pushed_{0};
   std::atomic<std::uint64_t> reconnects_count_{0};
   std::atomic<std::int64_t> inflight_total_{0};

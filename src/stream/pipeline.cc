@@ -1,25 +1,13 @@
 #include "stream/pipeline.h"
 
-#include <algorithm>
-#include <limits>
-
 namespace bgpbh::stream {
-
-namespace {
-
-constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
-constexpr std::uint64_t kMaxStagingNs =
-    std::chrono::nanoseconds(StreamPipeline::Producer::kMaxStaging).count();
-
-}  // namespace
 
 StreamPipeline::Producer::Producer(StreamPipeline& owner, std::size_t index,
                                    std::size_t num_shards, BlockPool& blocks,
                                    std::size_t batch_size)
     : owner_(&owner),
       router_(num_shards, blocks, static_cast<std::uint32_t>(index)),
-      batch_size_(batch_size), pending_(num_shards), staged_ns_(num_shards),
-      publish_due_ns_(kNever) {
+      batch_size_(batch_size), pending_(num_shards), staging_(num_shards) {
   for (auto& buf : pending_) buf.reserve(batch_size);
 }
 
@@ -31,6 +19,7 @@ bool StreamPipeline::Producer::push(const routing::FeedUpdate& update) {
   // unconditional start() would put an atomic RMW on every push,
   // ping-ponging the flag's cache line across producer threads.
   if (!p.started_.load(std::memory_order_acquire)) p.start();
+  bool published_full = false;
   router_.route(update, [&](std::size_t shard, SubUpdateRef ref) {
     // Recovery replay: drop refs the checkpoint already covers.  One
     // branch on an empty vector when not replaying.
@@ -40,42 +29,29 @@ bool StreamPipeline::Producer::push(const routing::FeedUpdate& update) {
       return;
     }
     auto& buf = pending_[shard];
-    if (buf.empty()) {
-      staged_ns_[shard] = router_.clock_ns();
-      publish_due_ns_ =
-          std::min(publish_due_ns_, staged_ns_[shard] + kMaxStagingNs);
-    }
+    if (buf.empty()) staging_.first_staged(shard, router_.clock_ns());
     buf.push_back(ref);
-    if (buf.size() >= batch_size_) submit_shard(shard);
+    if (buf.size() >= batch_size_) {
+      submit_shard(shard);
+      published_full = true;
+    }
   });
-  // A clock that steps back reads as a long silence: publish, never hold.
-  const std::uint64_t now = router_.clock_ns();
-  if (now - last_push_ns_ >= kMaxStagingNs) {
-    flush();  // the feed is slow: batching would only add latency
-  } else if (now >= publish_due_ns_) {
-    publish_aged(now);
-  }
-  last_push_ns_ = now;
+  // route() reads no clock for an update without prefixes.
+  const bgp::UpdateBody& body = update.update.body;
+  if (body.withdrawn.empty() && body.announced.empty()) return true;
+  staging_.end_push(
+      router_.clock_ns(), published_full,
+      [&](std::size_t shard) { return !pending_[shard].empty(); },
+      [&](std::size_t shard) {
+        submit_shard(shard);
+        return true;
+      });
   return true;
 }
 
 void StreamPipeline::Producer::flush() {
   for (std::size_t shard = 0; shard < pending_.size(); ++shard) {
     if (!pending_[shard].empty()) submit_shard(shard);
-  }
-  publish_due_ns_ = kNever;
-}
-
-void StreamPipeline::Producer::publish_aged(std::uint64_t now_ns) {
-  publish_due_ns_ = kNever;
-  for (std::size_t shard = 0; shard < pending_.size(); ++shard) {
-    if (pending_[shard].empty()) continue;
-    if (now_ns - staged_ns_[shard] >= kMaxStagingNs) {
-      submit_shard(shard);
-    } else {
-      publish_due_ns_ =
-          std::min(publish_due_ns_, staged_ns_[shard] + kMaxStagingNs);
-    }
   }
 }
 

@@ -24,9 +24,10 @@
 // asserts this with a counting allocator).
 //
 // Latency bound: both stages batch only while batching costs no
-// latency — staged refs wait at most Producer::kMaxStaging while pushes
-// continue (see push()), and a worker drains closed events whenever a
-// batch leaves its queue empty.  Under saturation batches stay full.
+// latency — staged refs wait at most kMaxStaging while pushes continue
+// (the StagingRule of stream/staging.h, shared with the fabric client),
+// and a worker drains closed events whenever a batch leaves its queue
+// empty.  Under saturation batches stay full.
 //
 // MPMC stage: `num_producers > 1` gives each producer thread its own
 // Producer handle (router + staging buffers); shard submission then
@@ -44,7 +45,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 
@@ -53,6 +53,7 @@
 #include "stream/event_store.h"
 #include "stream/shard_router.h"
 #include "stream/source.h"
+#include "stream/staging.h"
 #include "stream/update_block.h"
 #include "stream/worker_pool.h"
 #include "telemetry/metrics.h"
@@ -66,8 +67,8 @@ struct PipelineConfig {
   // Most sub-updates moved per queue transfer: a producer stages up to
   // this many per shard before a push_batch, and workers pop up to this
   // many per pop_batch — one index publish per chunk instead of per
-  // element.  It bounds throughput batching only: staged refs are
-  // published after Producer::kMaxStaging whatever the batch holds.
+  // element.  It bounds throughput batching only: staged refs go out
+  // after kMaxStaging (stream/staging.h) whatever the batch holds.
   std::size_t batch_size = 64;
   // MPMC stage: number of concurrent producer threads (e.g. one per
   // collector platform).  Each must use its own producer() handle.
@@ -88,17 +89,12 @@ class StreamPipeline {
   // StreamPipeline::producer(i); never share a handle across threads.
   class Producer {
    public:
-    // The staging age bound of push(); batches under saturation fill
-    // far sooner.
-    static constexpr std::chrono::microseconds kMaxStaging{500};
-
     // Route one update.  Returns false — without routing or counting
     // the update — once the pipeline has finished; nothing is ever
     // silently dropped.  Routed sub-updates are staged per shard and
-    // handed to the workers when `batch_size` are staged, when the
-    // oldest has waited kMaxStaging, or at once when this push follows
-    // kMaxStaging of producer silence.  Ages come from the router's
-    // per-update clock reading.
+    // handed to the workers when `batch_size` are staged, or earlier by
+    // the StagingRule (stream/staging.h): by age on the router's clock,
+    // or after silence counted from when the previous push returned.
     bool push(const routing::FeedUpdate& update);
 
     // Hand this producer's staged sub-updates to their shard queues
@@ -136,23 +132,13 @@ class StreamPipeline {
     // Hand one shard's staged batch to the workers, releasing any refs
     // a mid-shutdown rejection left with us.
     void submit_shard(std::size_t shard);
-    // Submit every shard whose oldest staged ref has waited kMaxStaging
-    // at `now_ns`, and re-arm publish_due_ns_ for the rest.
-    void publish_aged(std::uint64_t now_ns);
 
     StreamPipeline* owner_;
     ShardRouter router_;
     std::size_t batch_size_;
     std::vector<std::vector<SubUpdateRef>> pending_;
-    // Router clock reading at which each shard's oldest staged ref was
-    // staged; meaningful only while pending_[shard] is non-empty.
-    std::vector<std::uint64_t> staged_ns_;
-    // When publish_aged() is next due: the earliest staged_ns_ +
-    // kMaxStaging, early (never late) once a full batch went out;
-    // UINT64_MAX while nothing is staged.
-    std::uint64_t publish_due_ns_;
-    // Router clock reading of the previous push that routed anything.
-    std::uint64_t last_push_ns_ = 0;
+    // When pending_ goes out early, by age or after silence.
+    StagingRule staging_;
     // Per-shard refs still to drop during recovery replay; empty when
     // not replaying, so the hot path pays one branch.
     std::vector<std::uint64_t> skip_;

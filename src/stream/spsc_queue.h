@@ -90,7 +90,7 @@ class SpscQueue {
   // Batch pop: moves up to `max` immediately-available items into
   // `out` (appending) with a single head publish + at most one wake.
   // Blocks while the queue is empty; returns the number appended, 0
-  // iff the queue is closed AND fully drained.  Consumer thread only.
+  // once closed AND fully drained or interrupted.  Consumer thread only.
   std::size_t pop_batch(std::vector<T>& out, std::size_t max) {
     return pop_batch_within(out, max, std::nullopt);
   }
@@ -107,6 +107,17 @@ class SpscQueue {
     return pop_batch_within(
         out, max,
         std::chrono::duration_cast<std::chrono::nanoseconds>(timeout));
+  }
+
+  // Ends the consumer's current or next wait on the empty queue: that
+  // pop returns 0 with the queue still open, as on a timeout.  Set under
+  // mu_, so the parker's locked re-check cannot miss it.  Any thread.
+  void interrupt_consumer() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      interrupted_.store(true, std::memory_order_release);
+    }
+    not_empty_.notify_one();
   }
 
   // End of stream: pending items remain poppable, further pushes fail.
@@ -171,7 +182,11 @@ class SpscQueue {
     const std::size_t head = head_.load(std::memory_order_relaxed);
     auto avail = [&] { return tail_.load(std::memory_order_acquire) - head; };
     park(consumer_waiting_, not_empty_, instruments_.consumer_stalls,
-         [&] { return avail() > 0; }, timeout);
+         [&] {
+           return avail() > 0 ||
+                  interrupted_.exchange(false, std::memory_order_acq_rel);
+         },
+         timeout);
     const std::size_t chunk = std::min(avail(), max);
     if (chunk == 0) return 0;  // closed and drained, or timed out
     for (std::size_t i = 0; i < chunk; ++i) {
@@ -222,6 +237,7 @@ class SpscQueue {
   std::atomic<bool> closed_{false};
   std::atomic<bool> producer_waiting_{false};
   std::atomic<bool> consumer_waiting_{false};
+  std::atomic<bool> interrupted_{false};  // see interrupt_consumer()
   mutable std::mutex mu_;
   std::condition_variable not_full_, not_empty_;
 };

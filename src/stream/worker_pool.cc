@@ -98,7 +98,7 @@ std::size_t WorkerPool::submit_batch(std::size_t shard,
 
 void WorkerPool::worker_loop(Shard& shard) {
   // Idle poll interval: an empty-queue worker resurfaces this often to
-  // tick its heartbeat and notice checkpoint capture requests.  Never
+  // tick its heartbeat (a capture request interrupts the wait).  Never
   // reached while traffic flows (the queue wakes the worker directly).
   constexpr auto kIdlePoll = std::chrono::milliseconds(5);
   // Most sub-updates between drains while the queue never runs dry.
@@ -119,8 +119,8 @@ void WorkerPool::worker_loop(Shard& shard) {
     batch.clear();
     std::size_t n = shard.queue->pop_batch_for(batch, batch_size_, kIdlePoll);
     if (n == 0) {
-      // Idle timeout.  Nothing waits to be drained: the batch before it
-      // left the queue empty, so it drained.
+      // Idle timeout or capture interrupt.  Nothing waits to be
+      // drained: the batch before it left the queue empty, so it drained.
       if (!shard.queue->closed()) continue;
       // Closed: grab any remainder racing the close, then exit.
       n = shard.queue->pop_batch(batch, batch_size_);
@@ -219,6 +219,8 @@ bool WorkerPool::capture(const std::function<void()>& while_quiesced,
   capture_active_ = true;
   arrived_ = 0;
   capture_requested_.store(true, std::memory_order_release);
+  // Wake workers parked on an empty queue now, not at their idle poll.
+  for (auto& shard : shards_) shard->queue->interrupt_consumer();
   rendezvous_cv_.wait(
       lock, [&] { return arrived_ == shards_.size() || shutdown_; });
   const bool ok = !shutdown_;

@@ -123,7 +123,8 @@ class WorkerPool {
   std::uint64_t heartbeat(std::size_t shard) const;
 
   // Checkpoint rendezvous (src/recovery/).  Quiesces every worker at a
-  // batch boundary: each worker force-drains its closed events into
+  // batch boundary (a worker parked on an empty queue is interrupted,
+  // not waited for until its idle poll): each worker force-drains its closed events into
   // the store (so every pre-cut chunk is downstream of the cut), dumps
   // its open engine state + watermarks into its capture slot, and
   // parks.  With all workers held — no in-flight chunks, none can be

@@ -14,6 +14,7 @@
 #include "recovery/checkpoint.h"
 #include "routing/collectors.h"
 #include "storage/record_codec.h"
+#include "stream/shard_router.h"
 #include "telemetry/fleet.h"
 #include "util/rng.h"
 
@@ -615,7 +616,8 @@ routing::FeedUpdate stamped_sub_update() {
 TEST_P(FuzzSeedTest, SubUpdateRoundTripsIngestStamp) {
   routing::FeedUpdate fu = stamped_sub_update();
   net::BufWriter w;
-  fabric::encode_sub_update(fu, w);
+  fabric::encode_sub_update(fu, stream::SubKind::kAnnounce, 0, fu.ingest_ns,
+                            w);
   net::BufReader r(w.data());
   auto decoded = fabric::decode_sub_update(r);
   ASSERT_TRUE(decoded.has_value());
@@ -628,7 +630,9 @@ TEST_P(FuzzSeedTest, SubUpdateRoundTripsIngestStamp) {
 // behind a patched length: the in-place patch must change no byte.
 TEST(SubUpdateWire, EncodingMatchesGoldenBytes) {
   net::BufWriter w;
-  fabric::encode_sub_update(stamped_sub_update(), w);
+  const routing::FeedUpdate fu = stamped_sub_update();
+  fabric::encode_sub_update(fu, stream::SubKind::kAnnounce, 0, fu.ingest_ns,
+                            w);
   std::string hex;
   for (std::uint8_t b : w.data()) {
     hex.push_back("0123456789abcdef"[b >> 4]);
@@ -638,6 +642,43 @@ TEST(SubUpdateWire, EncodingMatchesGoldenBytes) {
             "010000000058b60f0004c63364090000051300000000000000270000001f"
             "4001010040020a0202000005130000fbf4400304c6336401c00804ffff02"
             "9a188295070123456789abcdef");
+}
+
+// Each sub-update of a multi-prefix update, encoded straight from the
+// original, decodes to the one-prefix update the split stands for: an
+// announcement keeps the route attributes, a withdrawal carries none.
+TEST(SubUpdateWire, SplitSubUpdatesDecodeToOnePrefixUpdates) {
+  routing::FeedUpdate fu = stamped_sub_update();
+  bgp::UpdateBody& body = fu.update.body;
+  body.announced.push_back(*net::Prefix::parse("2a00:1::dead:beef/128"));
+  body.withdrawn.push_back(*net::Prefix::parse("20.2.0.0/24"));
+  body.withdrawn.push_back(*net::Prefix::parse("2a00:2::/32"));
+  body.communities.add(bgp::LargeCommunity(64500, 666, 0));
+  const std::uint64_t stamp = 42;
+  net::BufWriter w;
+  std::size_t subs = 0;
+  stream::for_each_sub_update(
+      fu, 1, [&](std::size_t, stream::SubKind kind, std::uint32_t index) {
+        routing::FeedUpdate want = fu;
+        want.ingest_ns = stamp;
+        if (kind == stream::SubKind::kWithdraw) {
+          want.update.body = bgp::UpdateBody{};
+          want.update.body.withdrawn = {body.withdrawn[index]};
+        } else {
+          want.update.body.withdrawn.clear();
+          want.update.body.announced = {body.announced[index]};
+        }
+        w.clear();
+        fabric::encode_sub_update(fu, kind, index, stamp, w);
+        net::BufReader r(w.data());
+        auto got = fabric::decode_sub_update(r);
+        ASSERT_TRUE(got.has_value()) << "sub " << subs;
+        EXPECT_TRUE(r.at_end());
+        EXPECT_TRUE(*got == want) << "sub " << subs;
+        EXPECT_EQ(got->ingest_ns, stamp);
+        ++subs;
+      });
+  EXPECT_EQ(subs, 4u);
 }
 
 TEST_P(FuzzSeedTest, SubUpdateDecoderSurvivesRandomInput) {
@@ -652,7 +693,8 @@ TEST_P(FuzzSeedTest, SubUpdateDecoderSurvivesRandomInput) {
 TEST_P(FuzzSeedTest, TruncationSweepSubUpdateV2) {
   routing::FeedUpdate fu = stamped_sub_update();
   net::BufWriter w;
-  fabric::encode_sub_update(fu, w);
+  fabric::encode_sub_update(fu, stream::SubKind::kAnnounce, 0, fu.ingest_ns,
+                            w);
   const auto& full = w.data();
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     std::vector<std::uint8_t> t(full.begin(), full.begin() + cut);

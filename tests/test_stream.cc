@@ -5,7 +5,9 @@
 //   * event store snapshot and window queries,
 //   * the equivalence contract: the sharded pipeline produces the exact
 //     canonical event set and merged stats of a sequential engine, for
-//     any shard count, on a Study-generated workload.
+//     any shard count, on a Study-generated workload,
+//   * the staging publish rule (StagingRule) on a fake clock, and
+//     checkpoint captures that interrupt idle workers.
 #include "stream/pipeline.h"
 
 #include <gtest/gtest.h>
@@ -23,6 +25,7 @@
 #include "core/study.h"
 #include "stream/source.h"
 #include "stream/spsc_queue.h"
+#include "stream/staging.h"
 
 namespace bgpbh::stream {
 namespace {
@@ -137,6 +140,32 @@ TEST(SpscQueue, PopBatchBlocksUntilCloseWhenEmpty) {
   consumer.join();
   EXPECT_EQ(popped, 0u);
   EXPECT_TRUE(got.empty());
+}
+
+TEST(SpscQueue, InterruptEndsTheConsumersWaitWithTheQueueOpen) {
+  SpscQueue<int> q(8);
+  std::vector<int> got;
+  // Raised before the pop parks: the pop returns at once, and the
+  // interrupt is consumed.
+  q.interrupt_consumer();
+  EXPECT_EQ(q.pop_batch_for(got, 4, std::chrono::seconds(30)), 0u);
+  EXPECT_FALSE(q.closed());
+  // Raised while the pop is parked.
+  std::size_t popped = 99;
+  const auto t0 = std::chrono::steady_clock::now();
+  std::thread consumer(
+      [&] { popped = q.pop_batch_for(got, 4, std::chrono::seconds(30)); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  q.interrupt_consumer();
+  consumer.join();
+  EXPECT_EQ(popped, 0u);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
+  EXPECT_FALSE(q.closed());
+  // Data still flows afterwards.
+  int one = 1;
+  q.push_batch(std::span<int>(&one, 1));
+  EXPECT_EQ(q.pop_batch_for(got, 4, std::chrono::seconds(30)), 1u);
+  EXPECT_EQ(got, std::vector<int>{1});
 }
 
 TEST(SpscQueue, BatchFifoOrderUnderProducerConsumerStress) {
@@ -575,8 +604,7 @@ std::vector<PeerEvent> pipeline_events_opt(const PipelineRunOptions& opt,
         auto& producer = pipeline.producer(p);
         for (std::size_t i = 0; i < parts[p].size(); ++i) {
           if (opt.pause_every != 0 && i % opt.pause_every == 0) {
-            std::this_thread::sleep_for(
-                StreamPipeline::Producer::kMaxStaging * 6 / 5);
+            std::this_thread::sleep_for(kMaxStaging * 6 / 5);
           }
           producer.push(parts[p][i]);
         }
@@ -779,6 +807,160 @@ TEST(StreamPipeline, BackToBackCapturesReleaseEveryWorker) {
   pipeline.finish(f.config.window_end);
   a.join();
   b.join();
+}
+
+// A cut of an idle pipeline interrupts the workers parked on their
+// empty queues instead of waiting for each one's 5 ms idle poll.
+TEST(StreamPipeline, CapturesOfAnIdlePipelineDoNotWaitForTheIdlePoll) {
+  auto& f = fixture();
+  PipelineConfig config;
+  config.num_shards = 4;
+  StreamPipeline pipeline(f.study->dictionary(), f.study->registry(), config);
+  pipeline.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // all parked
+  std::vector<ShardCapture> out;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(pipeline.capture({}, out));
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
+      << " ms for 50 captures";
+  pipeline.finish(f.config.window_end);
+}
+
+// ---- StagingRule ------------------------------------------------------
+
+// The rule's clock, read only after a push that published a full batch.
+std::uint64_t g_staging_clock = 0;
+std::uint64_t staging_clock() { return g_staging_clock; }
+
+constexpr std::uint64_t kMaxStagingNs =
+    std::chrono::nanoseconds(kMaxStaging).count();
+constexpr std::uint64_t kT0 = 1'000'000'000;
+
+// A producer over a StagingRule that stages entry counts, publishes a
+// destination itself once `batch` entries are staged, and logs every
+// publish.  A destination in `refuse` may not go out early.
+struct StagingProbe {
+  explicit StagingProbe(std::size_t destinations, std::size_t batch = 64)
+      : rule(destinations, &staging_clock),
+        staged(destinations, 0),
+        refuse(destinations, false),
+        batch(batch) {
+    push(kT0);  // a first push ends the silence before it
+    published.clear();
+  }
+
+  // One push at `now` that stages one entry for each of `to`.
+  void push(std::uint64_t now, std::initializer_list<std::size_t> to = {}) {
+    bool full = false;
+    for (std::size_t d : to) {
+      if (staged[d] == 0) rule.first_staged(d, now);
+      if (++staged[d] >= batch) {
+        published.push_back(d);
+        staged[d] = 0;
+        full = true;
+      }
+    }
+    rule.end_push(
+        now, full, [&](std::size_t d) { return staged[d] > 0; },
+        [&](std::size_t d) {
+          ++asked;
+          if (refuse[d]) return false;
+          published.push_back(d);
+          staged[d] = 0;
+          return true;
+        });
+  }
+
+  StagingRule rule;
+  std::vector<std::size_t> staged;
+  std::vector<bool> refuse;
+  std::size_t batch;
+  std::vector<std::size_t> published;
+  std::size_t asked = 0;
+};
+
+TEST(StagingRule, FullBatchPublishesAtOnce) {
+  StagingProbe probe(2, /*batch=*/3);
+  probe.push(kT0 + 1, {0});
+  probe.push(kT0 + 2, {0, 1});
+  EXPECT_TRUE(probe.published.empty());
+  g_staging_clock = kT0 + 3;
+  probe.push(kT0 + 3, {0});
+  EXPECT_EQ(probe.published, std::vector<std::size_t>{0});
+  EXPECT_EQ(probe.staged[1], 1u);  // the partial batch keeps filling
+}
+
+TEST(StagingRule, AgedDestinationPublishesAtItsDueTimeNotBefore) {
+  StagingProbe probe(2);
+  probe.push(kT0 + 100, {0});
+  probe.push(kT0 + 300'000, {1});
+  probe.push(kT0 + 100 + kMaxStagingNs - 1);
+  EXPECT_TRUE(probe.published.empty());
+  probe.push(kT0 + 100 + kMaxStagingNs);
+  EXPECT_EQ(probe.published, std::vector<std::size_t>{0});
+  EXPECT_EQ(probe.staged[1], 1u);  // not aged yet
+  probe.push(kT0 + 300'000 + kMaxStagingNs);
+  EXPECT_EQ(probe.published, (std::vector<std::size_t>{0, 1}));
+}
+
+TEST(StagingRule, PushAfterSilencePublishesEverythingStaged) {
+  // One nanosecond short of the silence: nothing goes.
+  StagingProbe early(2);
+  early.push(kT0 + 100, {0});
+  early.push(kT0 + 100 + kMaxStagingNs - 1, {1});
+  EXPECT_TRUE(early.published.empty());
+  // Exactly kMaxStaging of silence: the entry this push stages goes
+  // too, though it has not waited at all.
+  StagingProbe quiet(2);
+  quiet.push(kT0 + 100, {0});
+  quiet.push(kT0 + 100 + kMaxStagingNs, {1});
+  EXPECT_EQ(quiet.published, (std::vector<std::size_t>{0, 1}));
+}
+
+TEST(StagingRule, ClockSteppingBackPublishesNeverHolds) {
+  StagingProbe probe(2);
+  probe.push(kT0 + 100, {0});
+  probe.push(kT0 + 50, {1});
+  EXPECT_EQ(probe.published, (std::vector<std::size_t>{0, 1}));
+}
+
+TEST(StagingRule, RefusedDestinationKeepsFillingAndIsAskedAgainLater) {
+  StagingProbe probe(1);
+  probe.refuse[0] = true;
+  probe.push(kT0 + 100, {0});
+  const std::uint64_t due = kT0 + 100 + kMaxStagingNs;
+  probe.push(due);
+  EXPECT_EQ(probe.asked, 1u);
+  probe.push(due + 200'000, {0});
+  probe.push(due + kMaxStagingNs - 1, {0});
+  EXPECT_EQ(probe.asked, 1u);  // not asked again before kMaxStaging
+  EXPECT_EQ(probe.staged[0], 3u);
+  EXPECT_TRUE(probe.published.empty());
+  probe.refuse[0] = false;
+  probe.push(due + kMaxStagingNs);
+  EXPECT_EQ(probe.asked, 2u);
+  EXPECT_EQ(probe.published, std::vector<std::size_t>{0});
+}
+
+TEST(StagingRule, SilenceCountsFromTheReturnOfAFullPush) {
+  StagingProbe probe(2, /*batch=*/2);
+  probe.push(kT0 + 1, {0});
+  // The full push starts at kT0 + 2 and returns 600 us later, as if it
+  // had waited on a full queue.
+  g_staging_clock = kT0 + 2 + 600'000;
+  probe.push(kT0 + 2, {0});
+  EXPECT_EQ(probe.published, std::vector<std::size_t>{0});
+  // 610 us after the full push began, 10 us after it returned: not a
+  // quiet feed, so the fresh entry waits.
+  probe.push(kT0 + 2 + 610'000, {1});
+  EXPECT_EQ(probe.published, std::vector<std::size_t>{0});
+  EXPECT_EQ(probe.staged[1], 1u);
+  // Silence counted from that push's own clock reading after a push
+  // that published nothing full.
+  probe.push(kT0 + 2 + 610'000 + kMaxStagingNs);
+  EXPECT_EQ(probe.published, (std::vector<std::size_t>{0, 1}));
 }
 
 // ---- FleetSource ------------------------------------------------------

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace bgpbh::bgp {
@@ -140,6 +143,86 @@ TEST(UpdateCodec, PrefixLenOver32Rejected) {
   w.u32(0x01020304);
   net::BufReader r(w.data());
   EXPECT_FALSE(decode_update_body(r));
+}
+
+// ---- golden bytes -----------------------------------------------------
+// encode_update_message output pinned byte for byte.  The bytes were
+// captured from the encoder that built each section in a scratch writer;
+// the encoder now writes every attribute in place behind a length it
+// knows up front, and these catch a length, flag or ordering change
+// that a round trip through the matching decoder would not.
+
+std::string message_hex(const UpdateBody& body) {
+  net::BufWriter w;
+  encode_update_message(body, w);
+  std::string hex;
+  for (std::uint8_t b : w.data()) {
+    hex.push_back("0123456789abcdef"[b >> 4]);
+    hex.push_back("0123456789abcdef"[b & 0xF]);
+  }
+  return hex;
+}
+
+TEST(UpdateCodecGolden, Ipv6AnnouncementAndWithdrawal) {
+  UpdateBody body;
+  body.announced.push_back(P("2a00:1::dead:beef/128"));
+  body.announced.push_back(P("2001:db8:1::/48"));
+  body.withdrawn.push_back(P("2a00:2::/32"));
+  body.as_path = AsPath::of({64500, 3356});
+  body.next_hop = *net::IpAddr::parse("2001:7f8::66");
+  EXPECT_EQ(message_hex(body),
+            "ffffffffffffffffffffffffffffffff0063020000004c4001010040020a"
+            "02020000fbf400000d1c800e2d00020110200107f8000000000000000000"
+            "00006600802a0000010000000000000000deadbeef3020010db80001800f"
+            "08000201202a000002");
+}
+
+TEST(UpdateCodecGolden, ClassicAndLargeCommunities) {
+  UpdateBody body;
+  body.announced.push_back(P("20.0.0.1/32"));
+  body.as_path = AsPath::of({64500});
+  body.next_hop = *net::IpAddr::parse("20.0.0.254");
+  body.origin = Origin::kIncomplete;
+  body.communities.add(Community(65535, 666));
+  body.communities.add(Community(3356, 9999));
+  body.communities.add(LargeCommunity(64500, 666, 0));
+  body.communities.add(LargeCommunity(64500, 667, 1));
+  EXPECT_EQ(message_hex(body),
+            "ffffffffffffffffffffffffffffffff0056020000003a40010102400206"
+            "02010000fbf4400304140000fec008080d1c270fffff029ac020180000fb"
+            "f40000029a000000000000fbf40000029b000000012014000001");
+}
+
+TEST(UpdateCodecGolden, LongAsPathTakesExtendedLength) {
+  std::vector<Asn> hops;
+  for (Asn a = 1; a <= 64; ++a) hops.push_back(64500 + a);
+  UpdateBody body;
+  body.announced.push_back(P("130.149.7.0/24"));
+  body.as_path = AsPath(std::move(hops));  // 2 + 4 * 64 = 258 bytes
+  body.next_hop = *net::IpAddr::parse("198.51.100.1");
+  EXPECT_EQ(message_hex(body),
+            "ffffffffffffffffffffffffffffffff012c020000011140010100500201"
+            "0202400000fbf50000fbf60000fbf70000fbf80000fbf90000fbfa0000fb"
+            "fb0000fbfc0000fbfd0000fbfe0000fbff0000fc000000fc010000fc0200"
+            "00fc030000fc040000fc050000fc060000fc070000fc080000fc090000fc"
+            "0a0000fc0b0000fc0c0000fc0d0000fc0e0000fc0f0000fc100000fc1100"
+            "00fc120000fc130000fc140000fc150000fc160000fc170000fc180000fc"
+            "190000fc1a0000fc1b0000fc1c0000fc1d0000fc1e0000fc1f0000fc2000"
+            "00fc210000fc220000fc230000fc240000fc250000fc260000fc270000fc"
+            "280000fc290000fc2a0000fc2b0000fc2c0000fc2d0000fc2e0000fc2f00"
+            "00fc300000fc310000fc320000fc330000fc34400304c633640118829507");
+}
+
+TEST(UpdateCodecGolden, WithdrawalOnlyCarriesCommunities) {
+  UpdateBody body;
+  body.withdrawn.push_back(P("20.2.0.0/24"));
+  body.withdrawn.push_back(P("2a00:3::/48"));
+  body.communities.add(Community(65535, 666));
+  body.communities.add(LargeCommunity(64500, 666, 0));
+  EXPECT_EQ(message_hex(body),
+            "ffffffffffffffffffffffffffffffff003e020004181402000023c00804"
+            "ffff029ac0200c0000fbf40000029a00000000800f0a000201302a000003"
+            "0000");
 }
 
 // Property: random bodies survive the codec byte-exactly.

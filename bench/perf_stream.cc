@@ -273,8 +273,8 @@ int main(int argc, char** argv) {
   // with cadence cuts landing mid-stream — until the producer-side
   // routing path reaches steady state, then count producer-thread
   // allocations while routing single-announced-prefix sub-updates.
-  // The zero-copy contract: none.  Spill chunk copies happen on the
-  // draining worker threads and checkpoint cuts happen at a worker
+  // The zero-copy contract: none.  Sealing chunks for spill happens on
+  // the draining worker threads and checkpoint cuts happen at a worker
   // rendezvous driven by the coordinator thread, so neither
   // persistence nor the recovery plane may add a single allocation to
   // the producer's routing path — the assertion proves it, with real
@@ -475,10 +475,11 @@ int main(int argc, char** argv) {
 
   // ---- AnalysisSession consumer-surface stages ------------------------
   // query = lane-consistent EventQuery scan over a populated store;
-  // sink_dispatch = producer-side cost of the subscription layer (chunk
-  // copy into the bounded dispatch queue), the delta a registered sink
-  // adds on top of the bare drain above.  With NO sinks the dispatch
-  // layer is a single null-listener branch per sealed chunk — the
+  // sink_dispatch = producer-side cost of the subscription layer (the
+  // sealed chunk, shared by reference, pushed onto the bounded dispatch
+  // queue), the delta a registered sink adds on top of the bare drain
+  // above.  With NO sinks the dispatch layer is an empty listener loop
+  // per sealed chunk — the
   // zero-allocation assertion above already ran without sinks, so any
   // hot-path regression from the subscription layer fails this bench.
   double query_ns = 0, sink_dispatch_ns = 0;
@@ -516,9 +517,9 @@ int main(int argc, char** argv) {
                                    /*snapshot_every_events=*/0);
     dispatcher.start();
     stream::EventStore dispatch_store(4);
-    dispatch_store.set_chunk_listener(
-        [&dispatcher](std::size_t, std::vector<core::PeerEvent> events) {
-          dispatcher.submit(std::move(events));
+    dispatch_store.add_chunk_listener(
+        [&dispatcher](std::size_t, const core::SealedChunk& events) {
+          dispatcher.submit(events);
         });
     const std::uint64_t kChunks = 2048;
     double accum = 0;
@@ -537,8 +538,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- persistence stages --------------------------------------------
-  // spill = sealed-chunk ingest with the segment-log spill hook wired
-  // (chunk copy + bounded-queue handoff + writer-thread append +
+  // spill = sealed-chunk ingest with the segment-log spill listener
+  // wired (shared-chunk bounded-queue handoff + writer-thread append +
   // seal), timed end to end until everything is durably on disk — the
   // full producer-visible + drain cost of persistence per event.
   // reopen_query = SegmentSet::open + an index-seeking half-range
@@ -557,9 +558,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     stream::EventStore store(4);
-    store.set_spill_listener(
-        [&spill](std::size_t, std::vector<core::PeerEvent> chunk) {
-          spill->submit(std::move(chunk));
+    store.add_chunk_listener(
+        [&spill](std::size_t, const core::SealedChunk& chunk) {
+          spill->submit(chunk);
         });
     const std::size_t kChunkLen = 256;
     const std::uint64_t kChunks = smoke ? 512 : 2048;

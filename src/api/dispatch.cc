@@ -81,13 +81,9 @@ void SinkDispatcher::start() {
   thread_ = std::thread([this] { loop(); });
 }
 
-void SinkDispatcher::submit(std::span<const core::PeerEvent> events) {
-  submit(std::vector<core::PeerEvent>(events.begin(), events.end()));
-}
-
-void SinkDispatcher::submit(std::vector<core::PeerEvent>&& events) {
-  if (events.empty()) return;
-  const std::size_t count = events.size();
+void SinkDispatcher::submit(core::SealedChunk events) {
+  if (!events || events->empty()) return;
+  const std::size_t count = events->size();
   std::unique_lock<std::mutex> lock(mu_);
   if (overload_ == OverloadPolicy::kShed) {
     const auto has_room = [this] {
@@ -122,19 +118,13 @@ void SinkDispatcher::submit(std::vector<core::PeerEvent>&& events) {
                    [this] { return queue_.size() < capacity_ || stopping_; });
   }
   if (stopping_) return;  // ingest has stopped by contract; nothing to lose
-  queue_.push_back(Item{.events = std::move(events), .snapshot = false});
+  queue_.push_back(Item{.events = std::move(events), .control = {}});
   submitted_.fetch_add(count, std::memory_order_relaxed);
   cv_items_.notify_one();
 }
 
 bool SinkDispatcher::request_snapshot() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_space_.wait(lock,
-                 [this] { return queue_.size() < capacity_ || stopping_; });
-  if (stopping_) return false;
-  queue_.push_back(Item{.events = {}, .snapshot = true});
-  cv_items_.notify_one();
-  return true;
+  return submit_control([this] { publish_snapshot(); });
 }
 
 bool SinkDispatcher::submit_control(std::function<void()> control) {
@@ -142,8 +132,7 @@ bool SinkDispatcher::submit_control(std::function<void()> control) {
   cv_space_.wait(lock,
                  [this] { return queue_.size() < capacity_ || stopping_; });
   if (stopping_) return false;
-  queue_.push_back(
-      Item{.events = {}, .snapshot = false, .control = std::move(control)});
+  queue_.push_back(Item{.events = {}, .control = std::move(control)});
   cv_items_.notify_one();
   return true;
 }
@@ -198,20 +187,15 @@ void SinkDispatcher::loop() {
 
 void SinkDispatcher::deliver(const Item& item) {
   if (item.control) {
-    // Checkpoint cut: runs after every chunk queued before it was
-    // delivered, so the callback observes the grouper exactly at the
-    // cut.
+    // Snapshot or checkpoint cut: runs after every chunk queued before
+    // it was delivered, so it observes the grouper exactly at the cut.
     item.control();
-    return;
-  }
-  if (item.snapshot) {
-    publish_snapshot();
     return;
   }
   telemetry::ScopedSpan span(deliver_hist_,
                              metrics_ ? &metrics_->trace() : nullptr,
                              "dispatch.deliver");
-  for (const core::PeerEvent& event : item.events) {
+  for (const core::PeerEvent& event : *item.events) {
     for (std::size_t i = 0; i < sinks_.size(); ++i) {
       sinks_[i]->on_event_closed(event);
       if (!sink_ctrs_.empty()) sink_ctrs_[i]->add();

@@ -2,15 +2,14 @@
 // registered EventSinks.
 //
 // Shard workers seal closed-event chunks into EventStore lanes; the
-// store's chunk listener moves its copy of each chunk into this
-// dispatcher's bounded queue and returns — that one copy (made by the
-// store, after the chunk is counted into its lane) is the entire
-// hot-path cost of the subscription layer.  One dedicated dispatch
-// thread drains the
-// queue and, per event, calls every sink's on_event_closed, folds the
-// event into the session's LiveGrouper, and fans the updated §9 group
-// out through on_group_updated.  Callbacks therefore run strictly
-// single-threaded, in per-lane ingest order.
+// store's chunk listener hands this dispatcher the same immutable
+// chunk the lane holds (core::SealedChunk) and returns — one queue
+// push, no copy, is the entire hot-path cost of the subscription
+// layer.  One dedicated dispatch thread drains the queue and, per
+// event, calls every sink's on_event_closed, folds the event into the
+// session's LiveGrouper, and fans the updated §9 group out through
+// on_group_updated.  Callbacks therefore run strictly single-threaded,
+// in per-lane ingest order.
 //
 // Backpressure, not loss: with the default OverloadPolicy::kBlock,
 // submit() blocks while the queue is full, so a sink that falls
@@ -35,7 +34,6 @@
 #include <deque>
 #include <functional>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -81,14 +79,13 @@ class SinkDispatcher {
   void start();
 
   // Enqueue a chunk for delivery; blocks while full (never drops).
-  // Safe from any number of ingesting threads.  The span overload
-  // copies; the vector overload takes ownership (the store listener's
-  // hand-off path — no second copy).
-  void submit(std::span<const core::PeerEvent> events);
-  void submit(std::vector<core::PeerEvent>&& events);
+  // Safe from any number of ingesting threads.  The queue shares the
+  // chunk; it is released once every sink has seen it.
+  void submit(core::SealedChunk events);
 
-  // Queue an on_snapshot delivery (ordered with the event stream).
-  // Returns false — nothing queued — once stop() has begun; the caller
+  // Queue an on_snapshot delivery: a submit_control() that publishes
+  // the snapshot, so it is ordered with the event stream.  Returns
+  // false — nothing queued — once stop() has begun; the caller
   // delivers inline instead (the dispatch thread is gone, so there is
   // nothing to race with).
   bool request_snapshot();
@@ -130,9 +127,8 @@ class SinkDispatcher {
 
  private:
   struct Item {
-    std::vector<core::PeerEvent> events;  // empty => snapshot/control
-    bool snapshot = false;
-    std::function<void()> control;  // checkpoint cut callback, if set
+    core::SealedChunk events;       // null => control
+    std::function<void()> control;  // snapshot / checkpoint cut callback
   };
 
   void loop();

@@ -152,13 +152,15 @@ AnalysisSession::AnalysisSession(SessionConfig config)
   pc.metrics = &metrics_;
   pipeline_ = std::make_unique<stream::StreamPipeline>(
       study_->dictionary(), study_->registry(), pc);
-  // Spill hook before anything can ingest (the store's lifecycle
-  // contract): every sealed chunk — including finish()'s force-closed
-  // remainder — crosses the bounded queue to the segment writer.
+  // Spill listener before anything can ingest (the store's lifecycle
+  // contract), and before start() adds the dispatcher's, so a chunk is
+  // queued for disk before it is queued for the sinks: every sealed
+  // chunk — including finish()'s force-closed remainder — crosses the
+  // bounded queue to the segment writer.
   if (spill_) {
-    pipeline_->store().set_spill_listener(
-        [this](std::size_t, std::vector<core::PeerEvent> chunk) {
-          spill_->submit(std::move(chunk));
+    pipeline_->store().add_chunk_listener(
+        [this](std::size_t, const core::SealedChunk& chunk) {
+          spill_->submit(chunk);
         });
   }
   // Restore the checkpointed cut into the not-yet-started pipeline:
@@ -373,9 +375,9 @@ void AnalysisSession::start_dispatcher() {
       [this] { return snapshot(); }, config_.snapshot_every_events, &metrics_,
       config_.sink_overload, config_.sink_shed_deadline);
   dispatcher_->start();
-  pipeline_->store().set_chunk_listener(
-      [this](std::size_t, std::vector<core::PeerEvent> chunk) {
-        dispatcher_->submit(std::move(chunk));
+  pipeline_->store().add_chunk_listener(
+      [this](std::size_t, const core::SealedChunk& chunk) {
+        dispatcher_->submit(chunk);
       });
 }
 

@@ -1,5 +1,7 @@
 #include "bgp/update.h"
 
+#include <algorithm>
+
 namespace bgpbh::bgp {
 
 namespace {
@@ -94,14 +96,19 @@ void encode_update_body(std::span<const net::Prefix> announced,
     w.u8(1);
     w.u8(static_cast<std::uint8_t>(attrs.origin));
 
-    // AS_PATH: one AS_SEQUENCE segment, 4-byte ASNs (AS4 capable peers).
+    // AS_PATH: AS_SEQUENCE segments of at most 255 hops (the count is
+    // one byte), 4-byte ASNs (AS4 capable peers).
     const auto& hops = attrs.as_path.hops();
+    constexpr std::size_t kMaxSegmentHops = 255;
+    const std::size_t segments =
+        (hops.size() + kMaxSegmentHops - 1) / kMaxSegmentHops;
     attr_header(w, kFlagTransitive, kAttrAsPath,
-                hops.empty() ? 0 : 2 + 4 * hops.size());
-    if (!hops.empty()) {
+                2 * segments + 4 * hops.size());
+    for (std::size_t from = 0; from < hops.size(); from += kMaxSegmentHops) {
+      const std::size_t n = std::min(kMaxSegmentHops, hops.size() - from);
       w.u8(2);  // AS_SEQUENCE
-      w.u8(static_cast<std::uint8_t>(attrs.as_path.length()));
-      for (Asn a : hops) w.u32(a);
+      w.u8(static_cast<std::uint8_t>(n));
+      for (std::size_t i = from; i < from + n; ++i) w.u32(hops[i]);
     }
 
     if (attrs.next_hop && attrs.next_hop->is_v4()) {

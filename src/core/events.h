@@ -3,6 +3,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -81,6 +82,12 @@ struct PeerEvent {
            a.communities == b.communities;
   }
 };
+
+// A drained batch of closed events, sealed once by stream::EventStore
+// and shared read-only by every consumer of it: the store's lane, the
+// spill writer and the sink dispatcher hold the same chunk.  Declared
+// here so storage:: can take one without depending on stream::.
+using SealedChunk = std::shared_ptr<const std::vector<PeerEvent>>;
 
 // Canonical total order over peer events: (start, end, prefix, peer,
 // provider, platform, kind, user, ...).  Sorting two event sets with

@@ -66,20 +66,17 @@ void ShardServer::stop() {
   stop_cv_.notify_all();
   listener_.shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
+  std::list<Conn> conns;
   {
-    // Wake every connection thread blocked in recv; the fds are owned
-    // by the TcpConn inside each thread, so only shutdown() here.
+    // Wake every live connection thread blocked in recv; the fds are
+    // owned by the TcpConn inside each thread, so only shutdown() here.
     std::lock_guard lock(conns_mu_);
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (const Conn& c : conns_) {
+      if (!c.done) ::shutdown(c.fd, SHUT_RDWR);
+    }
+    conns.swap(conns_);
   }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard lock(conns_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (Conn& c : conns) c.thread.join();
   // Sessions are destroyed without close(): the slot directories hold
   // everything up to the last drained checkpoint, which is exactly
   // what a restart (or migration target) recovers.
@@ -100,10 +97,26 @@ void ShardServer::accept_loop() {
   for (;;) {
     auto conn = listener_.accept();
     if (!conn) return;  // shutdown
-    std::lock_guard lock(conns_mu_);
-    conn_fds_.push_back(conn->fd());
-    conn_threads_.emplace_back(
-        [this, c = std::move(*conn)]() mutable { serve(std::move(c)); });
+    std::vector<std::thread> finished;
+    {
+      std::lock_guard lock(conns_mu_);
+      for (auto it = conns_.begin(); it != conns_.end();) {
+        if (!it->done) {
+          ++it;
+          continue;
+        }
+        finished.push_back(std::move(it->thread));
+        it = conns_.erase(it);
+      }
+      Conn& entry = conns_.emplace_back();
+      entry.fd = conn->fd();
+      entry.thread = std::thread([this, &entry, c = std::move(*conn)]() mutable {
+        serve(c);
+        std::lock_guard done_lock(conns_mu_);
+        entry.done = true;  // before c closes the fd
+      });
+    }
+    for (std::thread& t : finished) t.join();
   }
 }
 
@@ -182,7 +195,7 @@ bool ShardServer::send_error(TcpConn& conn, const std::string& message) {
   return false;  // drop the connection
 }
 
-void ShardServer::serve(TcpConn conn) {
+void ShardServer::serve(TcpConn& conn) {
   // HELLO first: the version check, and for data lanes the accepted
   // count the client resumes from.
   auto hello = conn.recv_frame();

@@ -36,6 +36,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -102,7 +103,7 @@ class ShardServer {
   };
 
   void accept_loop();
-  void serve(TcpConn conn);
+  void serve(TcpConn& conn);
   // Handlers return false to drop the connection (after kError).
   bool handle_frame(TcpConn& conn, const TcpConn::FramePayload& frame);
   bool handle_append(TcpConn& conn, const std::vector<std::uint8_t>& body);
@@ -132,9 +133,17 @@ class ShardServer {
   std::thread accept_thread_;
   mutable std::mutex slots_mu_;
   std::map<std::uint32_t, std::unique_ptr<Slot>> slots_;
+  // One entry per live connection.  serve() marks its entry done
+  // under conns_mu_ while its fd is still open, so stop() never shuts
+  // down a closed (possibly reused) fd number; accept_loop() reaps done
+  // entries, so finished connections do not pile up.
+  struct Conn {
+    std::thread thread;
+    int fd = -1;
+    bool done = false;
+  };
   std::mutex conns_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
+  std::list<Conn> conns_;
   std::mutex stop_mu_;
   std::condition_variable stop_cv_;
   bool stopping_ = false;

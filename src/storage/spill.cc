@@ -96,8 +96,8 @@ SpillWriter::~SpillWriter() {
   stop();
 }
 
-bool SpillWriter::submit(std::vector<core::PeerEvent> chunk) {
-  if (chunk.empty()) return true;
+bool SpillWriter::submit(core::SealedChunk chunk) {
+  if (!chunk || chunk->empty()) return true;
   {
     std::unique_lock<std::mutex> lock(mu_);
     not_full_.wait(lock, [this] {
@@ -181,7 +181,7 @@ void SpillWriter::run() {
       const std::uint64_t durable =
           writer_->events_committed() - retired_events_;
       std::uint64_t total = 0;
-      for (const auto& chunk : parked_) total += chunk.size();
+      for (const auto& chunk : parked_) total += chunk->size();
       if (total > durable) {
         const std::uint64_t lost = total - durable;
         lost_events_.fetch_add(lost, std::memory_order_relaxed);
@@ -215,12 +215,12 @@ bool SpillWriter::try_write_parked() {
   bool ok = true;
   for (const auto& chunk : parked_) {
     const std::uint64_t begin = cum;
-    cum += chunk.size();
+    cum += chunk->size();
     if (committed >= cum) continue;  // already durable
     const std::size_t from =
         committed > begin ? static_cast<std::size_t>(committed - begin) : 0;
     telemetry::ScopedSpan span(append_hist_, ring, "spill.append");
-    if (!writer_->append(std::span(chunk).subspan(from))) {
+    if (!writer_->append(std::span(*chunk).subspan(from))) {
       ok = false;
       break;
     }
@@ -241,7 +241,7 @@ bool SpillWriter::try_write_parked() {
     bytes_mirror_.store(writer_->bytes_on_disk(), std::memory_order_relaxed);
   }
   if (!ok) return false;
-  for (const auto& chunk : parked_) retired_events_ += chunk.size();
+  for (const auto& chunk : parked_) retired_events_ += chunk->size();
   parked_.clear();
   return true;
 }
@@ -314,7 +314,7 @@ void SpillWriter::backoff(std::chrono::nanoseconds delay) {
 
 void SpillWriter::publish_parked_gauge() {
   std::uint64_t parked = 0;
-  for (const auto& chunk : parked_) parked += chunk.size();
+  for (const auto& chunk : parked_) parked += chunk->size();
   const std::uint64_t durable = writer_->events_committed() - retired_events_;
   parked_events_.store(parked > durable ? parked - durable : 0,
                        std::memory_order_relaxed);

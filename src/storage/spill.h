@@ -1,15 +1,15 @@
 // SpillWriter: the bridge from the live pipeline's EventStore to the
 // append-only segment log.
 //
-// Shard workers hand the store sealed chunks of closed events; the
-// store's spill hook (stream::EventStore::set_spill_listener) submits
-// a copy of each chunk here.  Chunks cross a bounded MPMC queue to ONE
-// writer thread that appends them to a SegmentWriter in submission
-// order and sync()s after every drain — so disk I/O never runs on an
-// ingesting thread, and everything appended before the queue emptied
-// is the acked (recoverable) prefix.  A full queue blocks submit():
-// backpressure, never loss, the same contract as the rest of the
-// pipeline.
+// Shard workers hand the store sealed chunks of closed events; a store
+// chunk listener (stream::EventStore::add_chunk_listener) submits each
+// chunk here, shared with the store lane, not copied.  Chunks cross a
+// bounded MPMC queue to ONE writer thread that appends them to a
+// SegmentWriter in submission order and sync()s after every drain — so
+// disk I/O never runs on an ingesting thread, and everything appended
+// before the queue emptied is the acked (recoverable) prefix.  A full
+// queue blocks submit(): backpressure, never loss, the same contract as
+// the rest of the pipeline.
 //
 // Disk faults degrade, they don't latch.  A failed append/sync is
 // retried with the configured RetryPolicy backoff; if every attempt
@@ -82,7 +82,7 @@ class SpillWriter {
 
   // Thread-safe; blocks while the queue is full.  Returns false (and
   // drops nothing — the chunk was never accepted) after stop().
-  bool submit(std::vector<core::PeerEvent> chunk);
+  bool submit(core::SealedChunk chunk);
 
   // Checkpoint barrier (src/recovery/).  Enqueued IN ORDER with chunks:
   // the writer thread first lands every chunk submitted before this
@@ -160,10 +160,10 @@ class SpillWriter {
   };
 
   // Queue element: a chunk of events, or a barrier marker (ticket set,
-  // chunk empty) — barriers stay ordered relative to the chunks around
+  // chunk null) — barriers stay ordered relative to the chunks around
   // them.
   struct Item {
-    std::vector<core::PeerEvent> chunk;
+    core::SealedChunk chunk;
     BarrierTicket* ticket = nullptr;
   };
 
@@ -191,7 +191,7 @@ class SpillWriter {
   // normal operation transiently, in degraded mode until a probe
   // succeeds), the count already retired to disk from past parked
   // lists, and the probe schedule.
-  std::deque<std::vector<core::PeerEvent>> parked_;
+  std::deque<core::SealedChunk> parked_;
   std::uint64_t retired_events_ = 0;
   bool degraded_ = false;
   std::size_t probe_attempt_ = 0;

@@ -54,20 +54,13 @@ void EventStore::fold(Snapshot& into, bool& into_has_any, const Snapshot& from,
   into_has_any = true;
 }
 
-void EventStore::set_chunk_listener(ChunkListener listener) {
+void EventStore::add_chunk_listener(ChunkListener listener) {
   assert(!ingest_started_.load(std::memory_order_relaxed) &&
-         "set_chunk_listener() after the first ingest_chunk(): the slot is "
+         "add_chunk_listener() after the first ingest_chunk(): the list is "
          "read unsynchronized on the ingest path and already-handed-over "
          "chunks would be missed — install listeners before any ingester "
          "runs");
-  chunk_listener_ = std::move(listener);
-}
-
-void EventStore::set_spill_listener(ChunkListener listener) {
-  assert(!ingest_started_.load(std::memory_order_relaxed) &&
-         "set_spill_listener() after the first ingest_chunk(): install the "
-         "spill hook before any ingester runs");
-  spill_listener_ = std::move(listener);
+  listeners_.push_back(std::move(listener));
 }
 
 void EventStore::ingest_chunk(std::size_t lane_index,
@@ -77,28 +70,20 @@ void EventStore::ingest_chunk(std::size_t lane_index,
   ingest_started_.store(true, std::memory_order_relaxed);
 #endif
   lane_index %= lanes_.size();
-  // The listeners' copies are taken up front and delivered only after
-  // the chunk is counted into its lane, so a snapshot triggered by the
-  // delivery can never report fewer events than the listener has been
-  // handed.  Delivery stays outside the lane lock: a listener parked
-  // on a full dispatch/spill queue (backpressure) must not hold up
-  // concurrent snapshot readers.
-  std::vector<core::PeerEvent> observed;
-  if (chunk_listener_) observed = chunk;
-  std::vector<core::PeerEvent> spilled;
-  if (spill_listener_) spilled = chunk;
+  // Listeners are handed the chunk only after it is counted into its
+  // lane, so a snapshot triggered by the delivery can never report
+  // fewer events than a listener has been handed.  Delivery stays
+  // outside the lane lock: a listener parked on a full dispatch/spill
+  // queue (backpressure) must not hold up concurrent snapshot readers.
+  const core::SealedChunk sealed =
+      std::make_shared<const std::vector<core::PeerEvent>>(std::move(chunk));
   Lane& lane = *lanes_[lane_index];
   {
     std::lock_guard<std::mutex> lock(lane.mu);
-    count_events(lane, chunk);
-    lane.chunks.push_back(std::move(chunk));
+    count_events(lane, *sealed);
+    lane.chunks.push_back(sealed);
   }
-  if (spill_listener_) spill_listener_(lane_index, std::move(spilled));
-  if (chunk_listener_) chunk_listener_(lane_index, std::move(observed));
-}
-
-void EventStore::ingest(std::vector<core::PeerEvent> events) {
-  ingest_chunk(0, std::move(events));
+  for (const ChunkListener& listener : listeners_) listener(lane_index, sealed);
 }
 
 void EventStore::finalize() {
@@ -106,9 +91,9 @@ void EventStore::finalize() {
   for (auto& lane_ptr : lanes_) {
     Lane& lane = *lane_ptr;
     std::lock_guard<std::mutex> lane_lock(lane.mu);
-    for (auto& chunk : lane.chunks) {
-      events_.insert(events_.end(), std::make_move_iterator(chunk.begin()),
-                     std::make_move_iterator(chunk.end()));
+    // Copied, not moved: a listener may still hold the shared chunk.
+    for (const core::SealedChunk& chunk : lane.chunks) {
+      events_.insert(events_.end(), chunk->begin(), chunk->end());
     }
     lane.chunks.clear();
     lane.event_count = 0;
@@ -187,7 +172,7 @@ std::vector<core::PeerEvent> EventStore::query(
     for (const auto& lane : lanes_) {
       std::lock_guard<std::mutex> lane_lock(lane->mu);
       for (const auto& chunk : lane->chunks) {
-        for (const auto& e : chunk) {
+        for (const auto& e : *chunk) {
           if (pred(e)) out.push_back(e);
         }
       }
@@ -209,7 +194,7 @@ std::size_t EventStore::count(
       std::lock_guard<std::mutex> lane_lock(lane->mu);
       for (const auto& chunk : lane->chunks) {
         n += static_cast<std::size_t>(
-            std::count_if(chunk.begin(), chunk.end(), pred));
+            std::count_if(chunk->begin(), chunk->end(), pred));
       }
     }
     return n;

@@ -1,10 +1,11 @@
 // Merged, time-ordered store of closed blackholing events produced by
 // the engine shards of the streaming pipeline.
 //
-// Shard workers hand events over in *sealed chunks*: each worker seals
-// its engine's drained batch and moves the whole vector into its own
-// lane under that lane's mutex — an O(1) splice plus small counter
-// updates, never an element-wise copy under a shared lock.  Lanes are
+// Shard workers hand events over in *sealed chunks*: each worker's
+// drained batch is moved into one immutable shared chunk and appended
+// to its own lane under that lane's mutex — an O(1) splice plus small
+// counter updates, never an element-wise copy.  The same chunk then
+// goes to every listener (spill writer, sink dispatcher) by reference.  Lanes are
 // per-shard, so the hot ingest path has no cross-shard contention; the
 // expensive work (merging every lane into one canonically sorted
 // vector) happens once, in finalize(), after the workers have stopped.
@@ -56,15 +57,21 @@ class EventStore {
   // into the available ones.
   explicit EventStore(std::size_t lanes = 1);
 
-  // Sealed-chunk handoff: moves the whole chunk into the lane under
-  // its (per-lane, effectively uncontended) mutex.  Thread-safe.
+  // Sealed-chunk handoff: seals the drained vector ONCE into an
+  // immutable core::SealedChunk (one allocation, no element copy),
+  // counts it into the lane under the lane's (per-lane, effectively
+  // uncontended) mutex, and hands that same chunk to every listener.
+  // Thread-safe; empty chunks are ignored.
   void ingest_chunk(std::size_t lane, std::vector<core::PeerEvent>&& chunk);
 
-  // Sink-dispatch hook: receives a copy of every chunk right AFTER it
-  // landed in its lane (so a listener-driven snapshot can never lag
+  // Chunk listeners (api::AnalysisSession wires the storage::SpillWriter
+  // and the SinkDispatcher here): each receives every chunk right AFTER
+  // it landed in its lane (so a listener-driven snapshot can never lag
   // the events already handed out), on the ingesting thread and
-  // outside any store lock (the listener may block for backpressure
-  // without stalling readers).
+  // outside any store lock (a listener may block for backpressure
+  // without stalling readers).  Every listener gets the very chunk the
+  // lane holds; keeping the pointer keeps the events alive, and nobody
+  // can modify them.  Listeners run in the order they were added.
   //
   // ORDERING CONTRACT (single writer per lane): the store never
   // reorders — a lane's chunks are observed in exactly the order its
@@ -76,28 +83,16 @@ class EventStore {
   // safe (the lane mutex serializes them) but forfeits the per-key
   // order, so don't.
   //
-  // LIFECYCLE CONTRACT: set before any ingester runs, never after —
-  // the slot is read without synchronization on the ingest path, so
-  // installing a listener once ingest_chunk has run is a data race AND
+  // LIFECYCLE CONTRACT: add before any ingester runs, never after —
+  // the list is read without synchronization on the ingest path, so
+  // adding a listener once ingest_chunk has run is a data race AND
   // would silently miss the chunks already handed over.  Debug builds
-  // assert; null clears (same rule).  When no listener is set the only
-  // cost is one branch per sealed chunk — nothing per event; with one,
-  // the chunk copy made for it is the entire hot-path cost.
+  // assert.  With no listener the only cost is one empty loop per
+  // sealed chunk; each listener costs one call per chunk, nothing per
+  // event.
   using ChunkListener =
-      std::function<void(std::size_t lane, std::vector<core::PeerEvent> chunk)>;
-  void set_chunk_listener(ChunkListener listener);
-
-  // Spill hook (persistent event store, src/storage/): identical
-  // contracts to the chunk listener, invoked right before it with its
-  // own copy of the chunk.  Kept a separate slot so persistence
-  // composes with sink dispatch — api::AnalysisSession wires this to a
-  // storage::SpillWriter (whose bounded queue and writer thread keep
-  // segment I/O off the ingesting threads) while the chunk listener
-  // feeds the SinkDispatcher.
-  void set_spill_listener(ChunkListener listener);
-
-  // Convenience for single-writer callers (tests, batch imports).
-  void ingest(std::vector<core::PeerEvent> events);
+      std::function<void(std::size_t lane, const core::SealedChunk& chunk)>;
+  void add_chunk_listener(ChunkListener listener);
 
   // Merges every lane into the canonical event order.  Call once all
   // workers stopped.
@@ -135,7 +130,7 @@ class EventStore {
  private:
   struct Lane {
     mutable std::mutex mu;
-    std::vector<std::vector<core::PeerEvent>> chunks;  // sealed, unmerged
+    std::vector<core::SealedChunk> chunks;  // shared with listeners, unmerged
     std::size_t event_count = 0;
     Snapshot counters;
     bool has_any = false;
@@ -150,10 +145,9 @@ class EventStore {
   auto consistent_scan(Scan&& scan) const;
 
   std::vector<std::unique_ptr<Lane>> lanes_;
-  ChunkListener chunk_listener_;
-  ChunkListener spill_listener_;
+  std::vector<ChunkListener> listeners_;
 #ifndef NDEBUG
-  // Catches the set-after-ingest lifecycle footgun (see the listener
+  // Catches the add-after-ingest lifecycle footgun (see the listener
   // contracts above); debug builds only.
   std::atomic<bool> ingest_started_{false};
 #endif

@@ -1,13 +1,15 @@
-// Heap allocations on the producers' per-sub-update paths, counted by a
-// replacement global operator new.  The counter is thread-local, so only
-// the calling (producer) thread counts: shard workers, the spill writer
-// and the checkpoint coordinator allocate on their own threads.
+// Heap allocations on the producers' per-sub-update paths and on the
+// closed-event hand-off, counted by a replacement global operator new.
+// The counter is thread-local, so only the calling thread counts: shard
+// workers, the spill writer and the checkpoint coordinator allocate on
+// their own threads.
 //
 // This is its own executable because the replacement allocator applies
 // to the whole binary, and sanitizer builds (BGPBH_ASAN / BGPBH_TSAN),
 // which bring their own operator new, leave it out.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -18,6 +20,7 @@
 
 #include "api/session.h"
 #include "fabric/protocol.h"
+#include "stream/event_store.h"
 #include "stream/shard_router.h"
 
 namespace {
@@ -152,6 +155,55 @@ TEST(ZeroAlloc, SubUpdateEncodingIntoAWarmedLaneBuffer) {
   for (int i = 0; i < 1000; ++i) stage_frame();
   EXPECT_EQ(t_allocs - before, 0u) << "over " << subs << " sub-updates";
   EXPECT_EQ(subs, 4000u);
+}
+
+// The closed-event hand-off, as a shard worker's drain makes it: each
+// chunk is sealed once and the store lane and both listeners (spill and
+// dispatch, in a session) share it.  Allocations per chunk are a
+// constant, whatever the chunk's event count: the sealed chunk's one
+// block, plus the lane's chunk list growing geometrically.
+std::uint64_t hand_off_allocs(std::size_t events_per_chunk,
+                              std::size_t chunks) {
+  stream::EventStore store(1);
+  std::vector<core::SealedChunk> spilled, dispatched;
+  spilled.reserve(chunks + 1);
+  dispatched.reserve(chunks + 1);
+  store.add_chunk_listener([&](std::size_t, const core::SealedChunk& c) {
+    spilled.push_back(c);
+  });
+  store.add_chunk_listener([&](std::size_t, const core::SealedChunk& c) {
+    dispatched.push_back(c);
+  });
+  core::PeerEvent event;
+  event.prefix = P("20.7.0.0/24");
+  event.provider = core::ProviderRef{.is_ixp = false, .asn = 3356, .ixp_id = 0};
+  event.start = 100;
+  event.end = 200;
+  event.open = false;
+  event.communities.add(bgp::Community(3356, 9999));
+  event.communities.add(bgp::Community(65535, 666));
+  std::vector<std::vector<core::PeerEvent>> drained(
+      chunks + 1, std::vector<core::PeerEvent>(events_per_chunk, event));
+  store.ingest_chunk(0, std::move(drained[0]));  // warms the lane counters
+  const std::uint64_t before = t_allocs;
+  for (std::size_t i = 1; i <= chunks; ++i) {
+    store.ingest_chunk(0, std::move(drained[i]));
+  }
+  const std::uint64_t allocs = t_allocs - before;
+  EXPECT_EQ(spilled.size(), chunks + 1);
+  EXPECT_TRUE(spilled == dispatched) << "listeners got different chunks";
+  return allocs;
+}
+
+TEST(ZeroAlloc, SealedChunkHandOffIsAConstantPerChunk) {
+  constexpr std::size_t kChunks = 512;
+  const std::uint64_t small = hand_off_allocs(16, kChunks);
+  const std::uint64_t large = hand_off_allocs(256, kChunks);
+  EXPECT_EQ(large, small) << "the hand-off allocates per event";
+  // One sealed block per chunk; the lane's list regrows log2 times.
+  EXPECT_GE(large, kChunks);
+  EXPECT_LE(large, kChunks + std::bit_width(kChunks) + 1)
+      << "over " << kChunks << " chunks of 256 events";
 }
 
 }  // namespace

@@ -147,20 +147,43 @@ TEST(StoreQuery, LiveLanesAndFinalizedStoreYieldIdenticalResults) {
 
 TEST(StoreQuery, ChunkListenerObservesEveryChunkInLaneOrder) {
   stream::EventStore store(2);
-  std::vector<std::pair<std::size_t, std::size_t>> seen;  // (lane, size)
-  store.set_chunk_listener(
-      [&](std::size_t lane, std::vector<PeerEvent> chunk) {
-        seen.emplace_back(lane, chunk.size());
-      });
+  // Both listeners log into one sequence, so install order shows up as
+  // (first, second) pairs per chunk.
+  struct Seen {
+    int listener;
+    std::size_t lane;
+    core::SealedChunk chunk;
+  };
+  std::vector<Seen> seen;
+  for (int listener : {1, 2}) {
+    store.add_chunk_listener(
+        [&seen, listener](std::size_t lane, const core::SealedChunk& chunk) {
+          seen.push_back({listener, lane, chunk});
+        });
+  }
   store.ingest_chunk(0, {make_event("20.0.1.1/32", 100, 200)});
   store.ingest_chunk(1, {make_event("20.0.1.2/32", 100, 200),
                          make_event("20.0.1.3/32", 100, 200)});
   store.ingest_chunk(0, {make_event("20.0.1.4/32", 100, 200)});
   store.ingest_chunk(0, {});  // empty chunks are not observed
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], (std::pair<std::size_t, std::size_t>{0, 1}));
-  EXPECT_EQ(seen[1], (std::pair<std::size_t, std::size_t>{1, 2}));
-  EXPECT_EQ(seen[2], (std::pair<std::size_t, std::size_t>{0, 1}));
+  ASSERT_EQ(seen.size(), 6u);
+  const std::pair<std::size_t, std::size_t> expect[] = {{0, 1}, {1, 2}, {0, 1}};
+  for (std::size_t c = 0; c < 3; ++c) {
+    const Seen& first = seen[2 * c];
+    const Seen& second = seen[2 * c + 1];
+    EXPECT_EQ(first.listener, 1) << "chunk " << c;
+    EXPECT_EQ(second.listener, 2) << "chunk " << c;
+    EXPECT_EQ(first.chunk, second.chunk) << "chunk " << c << " was copied";
+    for (const Seen* s : {&first, &second}) {
+      EXPECT_EQ(s->lane, expect[c].first);
+      EXPECT_EQ(s->chunk->size(), expect[c].second);
+    }
+  }
+  // The listeners' references are not what keeps the events alive: the
+  // store still serves them once both are gone.
+  seen.clear();
+  EXPECT_EQ(store.query([](const PeerEvent&) { return true; }).size(), 4u);
+  EXPECT_EQ(store.count_in(100, 101), 4u);
 }
 
 // ---- session fixtures -------------------------------------------------

@@ -18,7 +18,9 @@
 //   * wire bytes: a golden APPEND body, as first sent and as replayed
 //     whole after a dropped connection,
 //   * latency: a slow feed's closing update reaches its shard server
-//     without flush().
+//     without flush(),
+//   * connections: finished control connections are reaped, so a
+//     long-lived server's memory stays flat across many RPCs.
 #include "fabric/router.h"
 
 #include <gtest/gtest.h>
@@ -30,6 +32,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <span>
 #include <map>
 #include <string>
@@ -876,6 +879,47 @@ TEST(FabricLatency, ClosedEventQueryableWithoutFlush) {
       seen = session.count();
     }
     EXPECT_EQ(seen, 1u);
+    session.close(study_config().window_end);
+    session.fabric()->shutdown_endpoints();
+  }
+  int status = server.wait_exit();
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  fs::remove_all(dir);
+}
+
+// ---- connections: finished ones are reaped ----------------------------
+
+// A process's virtual size in KiB (VmSize in /proc/<pid>/status).
+std::uint64_t vm_size_kib(pid_t pid) {
+  std::ifstream status("/proc/" + std::to_string(pid) + "/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      std::uint64_t kib = 0;
+      status >> kib;
+      return kib;
+    }
+    status.ignore(1 << 12, '\n');
+  }
+  return 0;
+}
+
+// Every control RPC dials a fresh connection.  A server that kept each
+// finished connection's thread would grow by a thread stack per call.
+TEST(FabricConnections, FinishedConnectionsAreReaped) {
+  std::string dir = temp_dir("bgpbh_fabric_conn_reap");
+  ServerProc server = ServerProc::spawn(dir, 1);
+  ASSERT_TRUE(server.valid());
+  {
+    api::AnalysisSession session(fabric_session_config(1, 1, {&server}));
+    session.fabric()->query_events();  // opens the slot's session
+    const std::uint64_t before = vm_size_kib(server.pid);
+    ASSERT_GT(before, 0u);
+    for (int i = 0; i < 200; ++i) session.fabric()->query_events();
+    const std::uint64_t after = vm_size_kib(server.pid);
+    EXPECT_LE(after, before + 256 * 1024)
+        << "VmSize " << before << " KiB -> " << after << " KiB";
     session.close(study_config().window_end);
     session.fabric()->shutdown_endpoints();
   }

@@ -79,6 +79,11 @@ std::vector<PeerEvent> make_events(std::uint32_t count, std::uint32_t from = 0) 
   return out;
 }
 
+// Seals events the way stream::EventStore::ingest_chunk does.
+core::SealedChunk sealed(std::vector<PeerEvent> events) {
+  return std::make_shared<const std::vector<PeerEvent>>(std::move(events));
+}
+
 // All events a directory's segments hold, canonical order.
 std::vector<PeerEvent> disk_events(const std::string& dir) {
   auto set = storage::SegmentSet::open(dir);
@@ -482,9 +487,9 @@ TEST(SpillWriterFaults, TransientFaultIsRetriedWithoutDegrading) {
   ASSERT_NE(spill, nullptr);
   auto events = make_events(64);
   for (std::size_t i = 0; i < events.size(); i += 16) {
-    ASSERT_TRUE(spill->submit(std::vector<PeerEvent>(
+    ASSERT_TRUE(spill->submit(sealed(std::vector<PeerEvent>(
         events.begin() + static_cast<std::ptrdiff_t>(i),
-        events.begin() + static_cast<std::ptrdiff_t>(i + 16))));
+        events.begin() + static_cast<std::ptrdiff_t>(i + 16)))));
   }
   spill->stop();
   EXPECT_EQ(spill->state(), storage::SpillWriter::State::kOk);
@@ -509,9 +514,9 @@ TEST(SpillWriterFaults, DegradesParksAndReArmsWithoutLoss) {
   ASSERT_NE(spill, nullptr);
   auto events = make_events(120);
   for (std::size_t i = 0; i < events.size(); i += 8) {
-    ASSERT_TRUE(spill->submit(std::vector<PeerEvent>(
+    ASSERT_TRUE(spill->submit(sealed(std::vector<PeerEvent>(
         events.begin() + static_cast<std::ptrdiff_t>(i),
-        events.begin() + static_cast<std::ptrdiff_t>(i + 8))));
+        events.begin() + static_cast<std::ptrdiff_t>(i + 8)))));
   }
   // The writer must pass through degraded (alarm up, events parked,
   // ingest still accepted) and then re-arm once the window clears —
@@ -549,9 +554,9 @@ TEST(SpillWriterFaults, PersistentFaultLosesExactlyTheUncommittedTail) {
   ASSERT_NE(spill, nullptr);
   auto events = make_events(200);
   for (std::size_t i = 0; i < events.size(); i += 10) {
-    ASSERT_TRUE(spill->submit(std::vector<PeerEvent>(
+    ASSERT_TRUE(spill->submit(sealed(std::vector<PeerEvent>(
         events.begin() + static_cast<std::ptrdiff_t>(i),
-        events.begin() + static_cast<std::ptrdiff_t>(i + 10))));
+        events.begin() + static_cast<std::ptrdiff_t>(i + 10)))));
   }
   spill->stop();
   EXPECT_EQ(spill->state(), storage::SpillWriter::State::kFailed);
@@ -594,7 +599,7 @@ TEST(SinkDispatcherShed, QuarantinesAfterDeadlineWithExactShedCounts) {
   const std::size_t kChunks = 40;
   const std::size_t kPerChunk = 4;
   for (std::size_t i = 0; i < kChunks; ++i) {
-    dispatcher.submit(std::vector<PeerEvent>(make_events(kPerChunk)));
+    dispatcher.submit(sealed(make_events(kPerChunk)));
   }
   // A 3ms-per-event sink against a 5ms deadline must overflow the
   // 1-chunk queue and trip the quarantine.
@@ -618,7 +623,7 @@ TEST(SinkDispatcherShed, BlockPolicyNeverSheds) {
                                  0, nullptr, api::OverloadPolicy::kBlock);
   dispatcher.start();
   for (std::size_t i = 0; i < 30; ++i) {
-    dispatcher.submit(std::vector<PeerEvent>(make_events(4)));
+    dispatcher.submit(sealed(make_events(4)));
   }
   dispatcher.stop();
   EXPECT_EQ(dispatcher.events_shed(), 0u);

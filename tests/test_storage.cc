@@ -367,7 +367,8 @@ TEST_F(StorageTest, SpillWriterPersistsConcurrentSubmissionsLosslessly) {
               (t * kChunksPerThread + c) * kChunkLen + i);
           chunk.push_back(make_event(id, 1000 + id, 1050 + id));
         }
-        ASSERT_TRUE(spill->submit(std::move(chunk)));
+        ASSERT_TRUE(spill->submit(
+            std::make_shared<const std::vector<PeerEvent>>(std::move(chunk))));
       }
     });
   }
@@ -389,7 +390,9 @@ TEST_F(StorageTest, SpillWriterPersistsConcurrentSubmissionsLosslessly) {
   core::canonical_sort(expect);
   core::canonical_sort(on_disk);
   EXPECT_TRUE(on_disk == expect);
-  EXPECT_FALSE(spill->submit({make_event(1, 1, 2)})) << "stopped: refused";
+  EXPECT_FALSE(spill->submit(std::make_shared<const std::vector<PeerEvent>>(
+      1, make_event(1, 1, 2))))
+      << "stopped: refused";
 }
 
 }  // namespace

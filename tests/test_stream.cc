@@ -386,9 +386,9 @@ PeerEvent make_event(bgp::Asn provider_asn, Platform platform,
 
 TEST(EventStore, SnapshotCountersAndWindowQueries) {
   EventStore store;
-  store.ingest({make_event(200, Platform::kRis, 100, 200),
-                make_event(200, Platform::kCdn, 150, 300)});
-  store.ingest({make_event(300, Platform::kRis, 400, 500)});
+  store.ingest_chunk(0, {make_event(200, Platform::kRis, 100, 200),
+                        make_event(200, Platform::kCdn, 150, 300)});
+  store.ingest_chunk(0, {make_event(300, Platform::kRis, 400, 500)});
 
   auto snap = store.snapshot();
   EXPECT_EQ(snap.total_events, 3u);

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "fabric/protocol.h"
 #include "util/rng.h"
 
 namespace bgpbh::bgp {
@@ -223,6 +224,57 @@ TEST(UpdateCodecGolden, WithdrawalOnlyCarriesCommunities) {
             "ffffffffffffffffffffffffffffffff003e020004181402000023c00804"
             "ffff029ac0200c0000fbf40000029a00000000800f0a000201302a000003"
             "0000");
+}
+
+// ---- AS paths longer than one segment ----------------------------------
+// An AS_SEQUENCE's hop count is one byte, so a longer path spans
+// several segments; the decoder joins them back into one path.
+
+AsPath path_of(std::size_t hops) {
+  std::vector<Asn> asns;
+  for (std::size_t i = 0; i < hops; ++i) {
+    asns.push_back(static_cast<Asn>(64500 + i));
+  }
+  return AsPath(std::move(asns));
+}
+
+class LongAsPath : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(LongAsPath, RoundTripsThroughTheBodyCodec) {
+  UpdateBody body = sample_body();
+  body.as_path = path_of(GetParam());
+  net::BufWriter w;
+  encode_update_body(body, w);
+  net::BufReader r(w.data());
+  auto decoded = decode_update_body(r);
+  ASSERT_TRUE(decoded) << GetParam() << " hops";
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(decoded->as_path.hops(), body.as_path.hops());
+  EXPECT_EQ(*decoded, body);
+}
+
+INSTANTIATE_TEST_SUITE_P(Hops, LongAsPath, ::testing::Values(255, 256, 300));
+
+TEST(LongAsPath, RoundTripsAsAFabricSubUpdate) {
+  routing::FeedUpdate fu;
+  fu.platform = routing::Platform::kRis;
+  fu.update.time = 1488326400;
+  fu.update.peer_ip = *net::IpAddr::parse("198.51.100.9");
+  fu.update.peer_asn = 64500;
+  fu.update.body.announced.push_back(P("130.149.7.0/24"));
+  fu.update.body.as_path = path_of(300);
+  fu.update.body.next_hop = *net::IpAddr::parse("198.51.100.1");
+  fu.update.body.communities.add(Community(65535, 666));
+  fu.ingest_ns = 42;
+  net::BufWriter w;
+  fabric::encode_sub_update(fu, stream::SubKind::kAnnounce, 0, fu.ingest_ns,
+                            w);
+  net::BufReader r(w.data());
+  auto decoded = fabric::decode_sub_update(r);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(decoded->update.body.as_path.length(), 300u);
+  EXPECT_TRUE(*decoded == fu);
 }
 
 // Property: random bodies survive the codec byte-exactly.

@@ -478,10 +478,10 @@ int main(int argc, char** argv) {
   // sink_dispatch = producer-side cost of the subscription layer (the
   // sealed chunk, shared by reference, pushed onto the bounded dispatch
   // queue), the delta a registered sink adds on top of the bare drain
-  // above.  With NO sinks the dispatch layer is an empty listener loop
-  // per sealed chunk — the
-  // zero-allocation assertion above already ran without sinks, so any
-  // hot-path regression from the subscription layer fails this bench.
+  // above.  With NO sinks the dispatch layer adds nothing to a sealed
+  // chunk — the zero-allocation assertion above already ran without
+  // sinks, so any hot-path regression from the subscription layer
+  // fails this bench.
   double query_ns = 0, sink_dispatch_ns = 0;
   {
     const std::size_t kEvents = 1 << 17;

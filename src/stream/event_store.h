@@ -5,10 +5,11 @@
 // drained batch is moved into one immutable shared chunk and appended
 // to its own lane under that lane's mutex — an O(1) splice plus small
 // counter updates, never an element-wise copy.  The same chunk then
-// goes to every listener (spill writer, sink dispatcher) by reference.  Lanes are
-// per-shard, so the hot ingest path has no cross-shard contention; the
-// expensive work (merging every lane into one canonically sorted
-// vector) happens once, in finalize(), after the workers have stopped.
+// goes to every listener (spill writer, sink dispatcher) by reference.
+// Lanes are per-shard, so the hot ingest path has no cross-shard
+// contention; the expensive work (merging every lane into one
+// canonically sorted vector) happens once, in finalize(), after the
+// workers have stopped.
 //
 // Aggregate counters (per-provider, per-platform, total) are kept per
 // lane and folded on demand, so a live alerting sink can take a
@@ -87,9 +88,8 @@ class EventStore {
   // the list is read without synchronization on the ingest path, so
   // adding a listener once ingest_chunk has run is a data race AND
   // would silently miss the chunks already handed over.  Debug builds
-  // assert.  With no listener the only cost is one empty loop per
-  // sealed chunk; each listener costs one call per chunk, nothing per
-  // event.
+  // assert.  Sealing costs one allocation per chunk, listeners or not;
+  // each listener adds one call per chunk and nothing per event.
   using ChunkListener =
       std::function<void(std::size_t lane, const core::SealedChunk& chunk)>;
   void add_chunk_listener(ChunkListener listener);

@@ -139,7 +139,6 @@ double run_pipeline(const core::Study& study,
       threads.emplace_back([&pipeline, &parts, p] {
         auto& producer = pipeline.producer(p);
         for (const auto& u : parts[p]) producer.push(u);
-        producer.flush();
       });
     }
     for (auto& t : threads) t.join();
@@ -362,7 +361,6 @@ int main(int argc, char** argv) {
     // resulting directory (newest valid checkpoint + segment-log
     // truncation + disk merge + open-state restore).  The recovered
     // session must reproduce the clean session's event set exactly.
-    session.flush();
     const int kCuts = 5;
     int cuts_ok = 0;
     auto c0 = std::chrono::steady_clock::now();

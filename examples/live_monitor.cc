@@ -379,12 +379,11 @@ int main(int argc, char** argv) {
           .kv("dispatch_lag", digest.value_or("api.dispatch.lag_events"));
     }
   }
-  session.flush();
   if (g_shutdown) {
-    // Orderly teardown on SIGTERM/SIGINT: everything pushed so far is
-    // flushed, a final checkpoint pins the open state, and close()
-    // seals the segment log — the reopen self-check below then proves
-    // the interrupted run lost nothing it accepted.
+    // Orderly teardown on SIGTERM/SIGINT: everything pushed so far has
+    // reached the workers, a final checkpoint pins the open state, and
+    // close() seals the segment log — the reopen self-check below then
+    // proves the interrupted run lost nothing it accepted.
     bool checkpointed = checkpoint_every != 0 && session.checkpoint_now();
     util::Log(util::LogLevel::kInfo, "live_monitor")
         .msg("shutdown signal received; closing gracefully")

@@ -428,11 +428,8 @@ bool AnalysisSession::push(const routing::FeedUpdate& update,
 void AnalysisSession::flush(std::size_t producer) {
   require_live("flush()");
   if (closed_ || !started_.load(std::memory_order_acquire)) return;
-  if (fabric_) {
-    fabric_->flush(producer);
-    return;
-  }
-  pipeline_->producer(producer).flush();
+  // Only fabric lanes stage: an in-process push publishes on return.
+  if (fabric_) fabric_->flush(producer);
 }
 
 std::uint64_t AnalysisSession::feed(stream::UpdateSource& source) {
@@ -452,13 +449,9 @@ std::uint64_t AnalysisSession::feed(stream::UpdateSource& source) {
 void AnalysisSession::drain() {
   require_live("drain()");
   if (closed_ || !started_.load(std::memory_order_acquire)) return;
-  const std::size_t producers = config_.num_producers;
   if (fabric_) {
-    for (std::size_t p = 0; p < producers; ++p) fabric_->flush(p);
+    for (std::size_t p = 0; p < config_.num_producers; ++p) fabric_->flush(p);
     return;
-  }
-  for (std::size_t p = 0; p < producers; ++p) {
-    pipeline_->producer(p).flush();
   }
   // Producers count accepted refs at push, workers count them at
   // drain; equality means every queue is empty and every sub-update
@@ -487,9 +480,10 @@ void AnalysisSession::close(util::SimTime end_time) {
   // heartbeats from joining workers.
   if (coordinator_) coordinator_->stop();
   if (watchdog_) watchdog_->stop();
-  // finish() flushes the producers, joins the workers, and force-closes
-  // still-open events — every resulting chunk still flows through the
-  // store listener into the dispatcher before the queue stops.
+  // finish() joins the workers (every push already reached the shard
+  // queues) and force-closes still-open events — every resulting chunk
+  // still flows through the store listener into the dispatcher before
+  // the queue stops.
   pipeline_->finish(end_time);
   if (dispatcher_) {
     dispatcher_->request_snapshot();  // final counters, after every event

@@ -81,7 +81,7 @@ struct SessionConfig {
 
   // Data plane shape; forwarded to stream::PipelineConfig.  Zero
   // shards or producers mean one.  batch_size bounds queue transfers,
-  // not latency (see stream::kMaxStaging in stream/staging.h).
+  // not latency: every push hands its refs to the workers on return.
   std::size_t num_shards = 4;
   std::size_t num_producers = 1;
   std::size_t queue_capacity = 4096;
@@ -266,9 +266,11 @@ class AnalysisSession {
   // updates, close at the archive cut-off.
   void start();
   bool push(const routing::FeedUpdate& update, std::size_t producer = 0);
-  // Hand `producer`'s staged updates to the shard workers now.  A later
-  // push publishes anything staged for stream::kMaxStaging, so only a
-  // feed that stops in the middle of a burst needs this.
+  // Fabric mode: send `producer`'s staged sub-updates to the shard
+  // servers now.  A later push sends anything staged for
+  // stream::kMaxStaging, so only a feed that stops in the middle of a
+  // burst needs this.  In-process there is nothing to publish: each
+  // push hands its refs to the shard workers before it returns.
   void flush(std::size_t producer = 0);
   std::uint64_t feed(stream::UpdateSource& source);
   void close(util::SimTime end_time);
@@ -281,8 +283,8 @@ class AnalysisSession {
   // remains authoritative.
   bool checkpoint_now();
   // Block until every update accepted so far is fully processed (live:
-  // producers flushed and shard queues drained; fabric: every lane's
-  // APPEND acked by its shard server).  At a drained point the
+  // shard queues drained; fabric: every lane flushed and its APPEND
+  // acked by its shard server).  At a drained point the
   // per-producer checkpoint watermark sums are exact accepted counts —
   // the invariant the fabric's exactly-once accounting rests on.
   void drain();

@@ -13,7 +13,7 @@
 //     (slot, producer) lane's APPEND frame, with a bounded in-flight
 //     window (at most `max_inflight` unacked frames per lane; a full
 //     window blocks the producer — backpressure, never loss).  A frame
-//     goes out full, or early by the in-process producer's StagingRule
+//     goes out full, or early by the lanes' StagingRule
 //     (stream/staging.h) into a window with room, so a slow feed is
 //     never held back,
 //   * survives connection loss ReconnectingSource-style: redial with

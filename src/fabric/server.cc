@@ -318,8 +318,6 @@ bool ShardServer::handle_append(TcpConn& conn,
     }
     s.accepted[producer] = index + 1;
   }
-  // A frame is a whole burst: nothing after it would share its staging.
-  s.session->flush(producer);
   if (!r.at_end()) return send_error(conn, "trailing bytes after APPEND");
   net::BufWriter ack;
   ack.u64(s.accepted[producer]);

@@ -7,7 +7,7 @@ StreamPipeline::Producer::Producer(StreamPipeline& owner, std::size_t index,
                                    std::size_t batch_size)
     : owner_(&owner),
       router_(num_shards, blocks, static_cast<std::uint32_t>(index)),
-      batch_size_(batch_size), pending_(num_shards), staging_(num_shards) {
+      batch_size_(batch_size), pending_(num_shards) {
   for (auto& buf : pending_) buf.reserve(batch_size);
 }
 
@@ -19,7 +19,6 @@ bool StreamPipeline::Producer::push(const routing::FeedUpdate& update) {
   // unconditional start() would put an atomic RMW on every push,
   // ping-ponging the flag's cache line across producer threads.
   if (!p.started_.load(std::memory_order_acquire)) p.start();
-  bool published_full = false;
   router_.route(update, [&](std::size_t shard, SubUpdateRef ref) {
     // Recovery replay: drop refs the checkpoint already covers.  One
     // branch on an empty vector when not replaying.
@@ -29,30 +28,14 @@ bool StreamPipeline::Producer::push(const routing::FeedUpdate& update) {
       return;
     }
     auto& buf = pending_[shard];
-    if (buf.empty()) staging_.first_staged(shard, router_.clock_ns());
     buf.push_back(ref);
-    if (buf.size() >= batch_size_) {
-      submit_shard(shard);
-      published_full = true;
-    }
+    if (buf.size() >= batch_size_) submit_shard(shard);
   });
-  // route() reads no clock for an update without prefixes.
-  const bgp::UpdateBody& body = update.update.body;
-  if (body.withdrawn.empty() && body.announced.empty()) return true;
-  staging_.end_push(
-      router_.clock_ns(), published_full,
-      [&](std::size_t shard) { return !pending_[shard].empty(); },
-      [&](std::size_t shard) {
-        submit_shard(shard);
-        return true;
-      });
-  return true;
-}
-
-void StreamPipeline::Producer::flush() {
+  // Nothing waits for a later push: every touched shard goes out now.
   for (std::size_t shard = 0; shard < pending_.size(); ++shard) {
     if (!pending_[shard].empty()) submit_shard(shard);
   }
+  return true;
 }
 
 void StreamPipeline::Producer::submit_shard(std::size_t shard) {
@@ -173,8 +156,6 @@ bool StreamPipeline::push(const routing::FeedUpdate& update) {
   return producers_[0]->push(update);
 }
 
-void StreamPipeline::flush() { producers_[0]->flush(); }
-
 std::uint64_t StreamPipeline::run(UpdateSource& source) {
   start();
   std::uint64_t consumed = 0;
@@ -187,12 +168,9 @@ std::uint64_t StreamPipeline::run(UpdateSource& source) {
 
 void StreamPipeline::finish(util::SimTime end_time) {
   if (finished_.exchange(true, std::memory_order_acq_rel)) return;
-  // Staged sub-updates must reach the workers before close.  Producer
-  // threads have stopped by contract, so their handles are quiescent.
-  for (auto& producer : producers_) {
-    producer->flush();
-    producer->router_.release_cached_blocks();
-  }
+  // Producer threads have stopped by contract, so their handles are
+  // quiescent and every push has already reached the shard queues.
+  for (auto& producer : producers_) producer->router_.release_cached_blocks();
   workers_.close_and_join();
   for (std::size_t i = 0; i < workers_.num_shards(); ++i) {
     // Workers drain on exit, so everything the engine holds after

@@ -13,7 +13,7 @@
 // source (collector-fleet adapter, MRT archive replay, or an in-memory
 // batch), parks each parsed update once in a pooled UpdateBlock, and
 // the router emits 16-byte SubUpdateRefs — (block, prefix index, kind)
-// — staged per shard and moved onto the owning shard's bounded queue
+// — gathered per shard and moved onto the owning shard's bounded queue
 // in batches (blocking when full: backpressure, never drops).  N
 // workers pop in matching batches, run private engine shards straight
 // over the shared blocks via core::UpdateView (no materialization),
@@ -23,15 +23,16 @@
 // performs zero heap allocations per sub-update (bench/perf_stream
 // asserts this with a counting allocator).
 //
-// Latency bound: both stages batch only while batching costs no
-// latency — staged refs wait at most kMaxStaging while pushes continue
-// (the StagingRule of stream/staging.h, shared with the fabric client),
-// and a worker drains closed events whenever a batch leaves its queue
-// empty.  Under saturation batches stay full.
+// Latency bound: neither stage holds work back for a batch — every
+// push hands its refs to the shard queues before it returns, and a
+// worker drains closed events whenever a batch leaves its queue empty.
+// A producer's batch holds one update's refs for one shard; a worker
+// that falls behind still pops up to `batch_size` refs at once.
 //
 // MPMC stage: `num_producers > 1` gives each producer thread its own
-// Producer handle (router + staging buffers); shard submission then
-// serializes on a per-shard mutex held once per sealed batch.  Per-key
+// Producer handle (router + per-shard ref buffers); shard submission
+// then serializes on a per-shard mutex, held once per push per touched
+// shard (and once per `batch_size` refs of one large update).  Per-key
 // equivalence holds as long as all updates of one (peer, prefix) key
 // flow through the same producer — true for one-producer-per-platform
 // deployments (collector sessions are platform-disjoint) and for any
@@ -53,7 +54,6 @@
 #include "stream/event_store.h"
 #include "stream/shard_router.h"
 #include "stream/source.h"
-#include "stream/staging.h"
 #include "stream/update_block.h"
 #include "stream/worker_pool.h"
 #include "telemetry/metrics.h"
@@ -64,11 +64,11 @@ struct PipelineConfig {
   std::size_t num_shards = 4;
   // Bounded per-shard queue; a full queue blocks the producer.
   std::size_t queue_capacity = 4096;
-  // Most sub-updates moved per queue transfer: a producer stages up to
-  // this many per shard before a push_batch, and workers pop up to this
-  // many per pop_batch — one index publish per chunk instead of per
-  // element.  It bounds throughput batching only: staged refs go out
-  // after kMaxStaging (stream/staging.h) whatever the batch holds.
+  // Most sub-updates moved per queue transfer: a producer hands at most
+  // this many refs of one shard to a push_batch, and workers pop up to
+  // this many per pop_batch — one index publish per chunk instead of
+  // per element.  It bounds transfers only: a push never returns with
+  // refs still held back.
   std::size_t batch_size = 64;
   // MPMC stage: number of concurrent producer threads (e.g. one per
   // collector platform).  Each must use its own producer() handle.
@@ -85,22 +85,17 @@ struct PipelineConfig {
 class StreamPipeline {
  public:
   // One per producer thread: routes updates into the shard queues
-  // through its own router and staging buffers.  Obtain via
+  // through its own router and per-shard ref buffers.  Obtain via
   // StreamPipeline::producer(i); never share a handle across threads.
   class Producer {
    public:
     // Route one update.  Returns false — without routing or counting
     // the update — once the pipeline has finished; nothing is ever
-    // silently dropped.  Routed sub-updates are staged per shard and
-    // handed to the workers when `batch_size` are staged, or earlier by
-    // the StagingRule (stream/staging.h): by age on the router's clock,
-    // or after silence counted from when the previous push returned.
+    // silently dropped.  Routed sub-updates are gathered per shard and
+    // every non-empty shard is submitted, in shard order, before push
+    // returns; a shard that reaches `batch_size` within one update is
+    // submitted at once.
     bool push(const routing::FeedUpdate& update);
-
-    // Hand this producer's staged sub-updates to their shard queues
-    // now.  Only a feed that stops in the middle of a burst needs it:
-    // staged refs age out on the next push, and without one they wait.
-    void flush();
 
     // Original updates accepted via push() on this handle.
     std::uint64_t updates_pushed() const { return router_.updates_routed(); }
@@ -108,8 +103,8 @@ class StreamPipeline {
     // Sub-update refs this handle actually enqueued onto shard queues
     // (accepted by submit_batch; replay-skipped refs excluded).
     // Together with StreamPipeline::total_processed() this gives a
-    // quiescence check: equal totals after flush() mean the queues are
-    // empty and the engines have consumed everything pushed so far.
+    // quiescence check: once pushes stop, equal totals mean the queues
+    // are empty and the engines have consumed everything pushed.
     std::uint64_t refs_enqueued() const {
       return refs_enqueued_.load(std::memory_order_relaxed);
     }
@@ -129,16 +124,15 @@ class StreamPipeline {
     Producer(StreamPipeline& owner, std::size_t index, std::size_t num_shards,
              BlockPool& blocks, std::size_t batch_size);
 
-    // Hand one shard's staged batch to the workers, releasing any refs
+    // Hand one shard's gathered refs to the workers, releasing any refs
     // a mid-shutdown rejection left with us.
     void submit_shard(std::size_t shard);
 
     StreamPipeline* owner_;
     ShardRouter router_;
     std::size_t batch_size_;
+    // Refs routed by the current push, per shard; empty between pushes.
     std::vector<std::vector<SubUpdateRef>> pending_;
-    // When pending_ goes out early, by age or after silence.
-    StagingRule staging_;
     // Per-shard refs still to drop during recovery replay; empty when
     // not replaying, so the hot path pays one branch.
     std::vector<std::uint64_t> skip_;
@@ -165,7 +159,6 @@ class StreamPipeline {
 
   // Single-producer facade: producer(0).
   bool push(const routing::FeedUpdate& update);
-  void flush();
 
   // Drains an entire source through push(); returns updates consumed.
   std::uint64_t run(UpdateSource& source);
@@ -206,7 +199,7 @@ class StreamPipeline {
   // finish() proves the refcounting closed the loop.
   std::size_t blocks_in_flight() const { return blocks_.in_flight(); }
   // Pool high-water mark; stops growing once the pipeline reaches
-  // steady state (bounded by staging + queue capacities).
+  // steady state (bounded by the queue capacities).
   std::size_t blocks_allocated() const { return blocks_.blocks_allocated(); }
 
   // ---- checkpoint/recovery surface (src/recovery/) ----------------------

@@ -16,10 +16,10 @@
 // the AS path or communities, and in steady state (recycled blocks)
 // performs zero heap allocations per update.
 //
-// The split itself (for_each_sub_update) and the ingest stamp rule
-// (ingest_stamp) are shared with fabric::FabricRouter, so the
-// in-process and multi-process planes order and stamp sub-updates
-// identically by construction.
+// The split itself (for_each_sub_update) is shared with
+// fabric::FabricRouter, so the in-process and multi-process planes
+// order sub-updates identically by construction; both stamp them by
+// the ingest_stamp rule.
 #pragma once
 
 #include <atomic>
@@ -40,7 +40,8 @@ std::size_t shard_for(const bgp::PeerKey& peer, const net::Prefix& prefix,
 // update arriving already stamped (a fabric server re-routing a
 // client's subs) keeps its original stamp so e2e latency spans
 // processes; an unstamped one gets `now_ns`, the wall clock read as it
-// enters the router.
+// enters the router.  ShardRouter::route applies the rule reading the
+// clock only for an unstamped update.
 inline std::uint64_t ingest_stamp(const routing::FeedUpdate& fu,
                                   std::uint64_t now_ns) {
   return fu.ingest_ns != 0 ? fu.ingest_ns : now_ns;
@@ -95,11 +96,6 @@ class ShardRouter {
     return updates_routed_.load(std::memory_order_relaxed);
   }
 
-  // The wall-clock reading route() took for the update being routed
-  // (inside emit) or the last one routed — this process's clock even
-  // for a pre-stamped update.  The producer ages its staging by it.
-  std::uint64_t clock_ns() const { return clock_ns_; }
-
   // Splits `fu` into single-prefix sub-updates (for_each_sub_update)
   // and calls emit(shard_index, SubUpdateRef) for each.  One block
   // holds the parsed update; the copy assignment below reuses the
@@ -112,10 +108,11 @@ class ShardRouter {
     const bgp::UpdateBody& body = fu.update.body;
     const std::size_t subs = body.withdrawn.size() + body.announced.size();
     if (subs == 0) return;
-    clock_ns_ = util::wall_clock_ns();
     UpdateBlock* block = next_block();
     block->update = fu;
-    block->update.ingest_ns = ingest_stamp(fu, clock_ns_);
+    // ingest_stamp: a fabric server re-routing client-stamped
+    // sub-updates reads no clock at all.
+    if (fu.ingest_ns == 0) block->update.ingest_ns = util::wall_clock_ns();
     block->refs.store(static_cast<std::uint32_t>(subs),
                       std::memory_order_relaxed);
     for_each_sub_update(
@@ -147,7 +144,6 @@ class ShardRouter {
   BlockPool* pool_;
   std::uint32_t producer_index_;
   std::vector<UpdateBlock*> cache_;
-  std::uint64_t clock_ns_ = 0;
   std::atomic<std::uint64_t> updates_routed_{0};
 };
 

@@ -1,15 +1,16 @@
-// The staging publish rule of both producers.  StreamPipeline::Producer
-// stages refs per shard queue and fabric::FabricRouter encoded
-// sub-updates per APPEND lane; each publishes a destination's batch when
-// it is full, and StagingRule publishes it earlier: once its oldest
-// entry has waited kMaxStaging, and every staged destination when a
-// push follows kMaxStaging of silence.  Silence counts from when the
-// previous push returned (the clock is read again after a push that
-// published a full batch, which may have blocked on backpressure), and
-// a clock that steps back reads as silence: publish, never hold.  The
-// producer may refuse an early publish (the fabric does while a lane's
-// window is full); the destination then keeps filling until the rule
-// looks again kMaxStaging later.
+// The staging publish rule of the fabric client's APPEND lanes.
+// fabric::FabricRouter stages encoded sub-updates per lane so that a
+// frame carries many of them; a lane publishes its frame when it is
+// full, and StagingRule publishes it earlier: once its oldest entry has
+// waited kMaxStaging, and every staged lane when a push follows
+// kMaxStaging of silence.  Silence counts from when the previous push
+// returned (the clock is read again after a push that published a full
+// batch, which may have blocked on backpressure), and a clock that
+// steps back reads as silence: publish, never hold.  The producer may
+// refuse an early publish (the fabric does while a lane's window is
+// full); the lane then keeps filling until the rule looks again
+// kMaxStaging later.  (The in-process producer stages nothing: each of
+// its pushes hands its refs to the shard queues before returning.)
 #pragma once
 
 #include <algorithm>

@@ -71,9 +71,9 @@ static_assert(sizeof(SubUpdateRef) == 16,
 // of updates) and workers collect fully-unreferenced blocks and hand
 // them back via recycle_batch (one lock per consume batch).  Blocks
 // live in a deque (stable addresses) and are never freed until the
-// pool dies; the in-flight count is bounded by the caches, staging
-// buffers and queue capacities, so the pool stops growing once the
-// pipeline reaches its steady-state high-water mark.
+// pool dies; the in-flight count is bounded by the caches and queue
+// capacities, so the pool stops growing once the pipeline reaches its
+// steady-state high-water mark.
 class BlockPool {
  public:
   BlockPool() = default;

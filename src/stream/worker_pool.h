@@ -11,9 +11,9 @@
 //
 // Multi-producer (MPMC) stage: with `serialize_producers`, several
 // producer threads may submit concurrently — submission serializes on
-// a per-shard mutex held once per sealed batch, so producer contention
-// is amortized by batch_size, and the SPSC queue invariants still hold
-// (the mutex orders the producer-side index accesses).
+// a per-shard mutex held once per submitted batch (once per push per
+// touched shard), and the SPSC queue invariants still hold (the mutex
+// orders the producer-side index accesses).
 //
 // Workers seal their engine's closed events whenever a consume batch
 // leaves their queue empty — so a closed event never waits for more

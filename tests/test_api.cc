@@ -409,10 +409,11 @@ class PolledSink : public EventSink {
   std::atomic<std::size_t> events_{0};
 };
 
-// A live monitor sees an event close without flush() or close(): the
-// closing withdrawal is neither held in a producer's staging buffer
-// until a batch fills nor held by its worker until a drain is due.
-TEST(AnalysisSession, ClosedEventReachesSinkWithoutFlush) {
+// Pushes the opening announcement of a single-detection event, waits
+// `gap`, pushes its closing withdrawal, and then pushes nothing more
+// and never flushes: the sink must still count the closed event, with
+// one detection-latency sample.
+void expect_close_reaches_sink_without_flush(std::chrono::milliseconds gap) {
   const auto& ref = reference();
   const auto updates = ref.study->replay_updates();
   // An event of its own (peer, prefix, start): one detection, so one
@@ -454,7 +455,7 @@ TEST(AnalysisSession, ClosedEventReachesSinkWithoutFlush) {
   PolledSink sink;
   session.subscribe(sink);
   ASSERT_TRUE(session.push(open));
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  if (gap.count() > 0) std::this_thread::sleep_for(gap);
   ASSERT_TRUE(session.push(close));
 
   const auto deadline =
@@ -469,6 +470,20 @@ TEST(AnalysisSession, ClosedEventReachesSinkWithoutFlush) {
   EXPECT_EQ(detect->hist.count, 1u);
   session.close(config.study.window_end);
   EXPECT_EQ(sink.events(), 1u);
+}
+
+// A live monitor sees an event close without flush() or close(): the
+// closing withdrawal is neither held in a producer's buffer until a
+// batch fills nor held by its worker until a drain is due.
+TEST(AnalysisSession, ClosedEventReachesSinkWithoutFlush) {
+  expect_close_reaches_sink_without_flush(std::chrono::milliseconds(2));
+}
+
+// The closing withdrawal follows the opening announcement back to back,
+// well within stream::kMaxStaging, and nothing follows it: the push
+// itself must hand it to the worker.
+TEST(AnalysisSession, BackToBackClosingUpdateReachesSinkWithoutFlush) {
+  expect_close_reaches_sink_without_flush(std::chrono::milliseconds(0));
 }
 
 // ---- persistence: the segment-log equivalence grid --------------------

@@ -329,25 +329,25 @@ TEST(ShardRouter, SharedSplitOrderShardsAndIngestStamp) {
     ADD_FAILURE() << "empty update emitted a sub-update";
   });
 
-  // A pre-stamped update keeps its stamp in the block, while the
-  // router's own clock reading stays this process's...
+  // A pre-stamped update keeps its stamp in the block...
   fu.ingest_ns = 0x0123456789ABCDEFull;
   EXPECT_EQ(ingest_stamp(fu, 42), fu.ingest_ns);
-  const std::uint64_t before = util::wall_clock_ns();
   router.route(fu, collect);
   ASSERT_EQ(refs.size(), 5u);
   EXPECT_EQ(refs[0].block->update.ingest_ns, 0x0123456789ABCDEFull);
-  EXPECT_GE(router.clock_ns(), before);
-  EXPECT_LE(router.clock_ns(), util::wall_clock_ns());
   for (const SubUpdateRef& ref : refs) pool.release(ref.block);
   refs.clear();
 
-  // ...and an unstamped one is stamped with that reading.
+  // ...and an unstamped one is stamped with the wall clock as it is
+  // routed.
   fu.ingest_ns = 0;
   EXPECT_EQ(ingest_stamp(fu, 42), 42u);
+  const std::uint64_t before = util::wall_clock_ns();
   router.route(fu, collect);
+  const std::uint64_t after = util::wall_clock_ns();
   ASSERT_EQ(refs.size(), 5u);
-  EXPECT_EQ(refs[0].block->update.ingest_ns, router.clock_ns());
+  EXPECT_GE(refs[0].block->update.ingest_ns, before);
+  EXPECT_LE(refs[0].block->update.ingest_ns, after);
   for (const SubUpdateRef& ref : refs) pool.release(ref.block);
   EXPECT_EQ(router.updates_routed(), 3u);
   router.release_cached_blocks();
@@ -565,8 +565,8 @@ struct PipelineRunOptions {
   std::size_t shards = 4;
   std::size_t batch_size = 64;
   std::size_t producers = 1;
-  // Every this many pushes a producer sleeps past kMaxStaging, so its
-  // staged refs go out by age and the next push follows a quiet gap.
+  // Every this many pushes a producer sleeps past kMaxStaging, so the
+  // workers run dry and park between bursts, as under a paced feed.
   // 0 = never.
   std::size_t pause_every = 0;
 };
@@ -608,7 +608,6 @@ std::vector<PeerEvent> pipeline_events_opt(const PipelineRunOptions& opt,
           }
           producer.push(parts[p][i]);
         }
-        producer.flush();
       });
     }
     for (auto& t : threads) t.join();
@@ -671,8 +670,8 @@ TEST(StreamPipeline, EquivalenceAcrossShardsBatchesProducers) {
       }
     }
   }
-  // Paced producers: refs go out by age and after quiet gaps, not only
-  // in full batches.
+  // Paced producers: workers park between bursts, and batches hold what
+  // each push routed, not only full ones.
   for (std::size_t producers : {1u, 3u}) {
     EngineStats stats;
     auto events = pipeline_events_opt(
@@ -682,11 +681,13 @@ TEST(StreamPipeline, EquivalenceAcrossShardsBatchesProducers) {
   }
 }
 
-// Randomized flush stress: interleave push()/flush() at random points
-// while a reader thread hammers the live snapshot API.  The store's
-// sealed-chunk handoff and counters must stay consistent throughout,
-// and the final event set must still be exactly the sequential one.
-TEST(StreamPipeline, RandomizedFlushStressWithConcurrentSnapshots) {
+// Randomized pause stress: pause the producer for random spans at
+// random points, so workers alternate between draining a backlog and
+// parking on an empty queue, while a reader thread hammers the live
+// snapshot API.  The store's sealed-chunk handoff and counters must
+// stay consistent throughout, and the final event set must still be
+// exactly the sequential one.
+TEST(StreamPipeline, RandomizedPauseStressWithConcurrentSnapshots) {
   auto& f = fixture();
   EngineStats seq_stats;
   auto seq = sequential_events(&seq_stats);
@@ -727,9 +728,13 @@ TEST(StreamPipeline, RandomizedFlushStressWithConcurrentSnapshots) {
   });
 
   std::mt19937_64 rng(7);
+  std::uniform_int_distribution<std::int64_t> pause_us(
+      0, 2 * std::chrono::microseconds(kMaxStaging).count());
   for (const auto& u : f.updates) {
     pipeline.push(u);
-    if ((rng() & 0x3F) == 0) pipeline.flush();  // ~1/64 updates
+    if ((rng() & 0x3F) == 0) {  // ~1/64 updates
+      std::this_thread::sleep_for(std::chrono::microseconds(pause_us(rng)));
+    }
   }
   pipeline.finish(f.config.window_end);
   done.store(true, std::memory_order_release);
@@ -739,6 +744,34 @@ TEST(StreamPipeline, RandomizedFlushStressWithConcurrentSnapshots) {
   EXPECT_TRUE(pipeline.store().events() == seq);
   EXPECT_EQ(pipeline.merged_stats(), seq_stats);
   EXPECT_EQ(pipeline.blocks_in_flight(), 0u);
+}
+
+// A push hands every ref it routed to the workers before it returns:
+// with no flush and no later push, the workers still consume every
+// sub-update of a back-to-back run, each shard's last partial batch
+// included.
+TEST(StreamPipeline, EveryPushReachesItsWorkerWithoutFlush) {
+  auto& f = fixture();
+  ASSERT_GE(f.updates.size(), 100u);
+  PipelineConfig config;
+  config.num_shards = 3;
+  StreamPipeline pipeline(f.study->dictionary(), f.study->registry(), config);
+  std::uint64_t routed = 0;
+  for (std::size_t i = 0; i < 100; ++i) {
+    const bgp::UpdateBody& body = f.updates[i].update.body;
+    routed += body.withdrawn.size() + body.announced.size();
+    ASSERT_TRUE(pipeline.push(f.updates[i]));
+  }
+  ASSERT_GT(routed, 0u);
+  EXPECT_EQ(pipeline.total_refs_enqueued(), routed);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (pipeline.total_processed() < routed &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(pipeline.total_processed(), routed);
+  pipeline.finish(f.config.window_end);
 }
 
 TEST(StreamPipeline, ReplayStreamMatchesStudyRun) {
